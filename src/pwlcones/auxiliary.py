@@ -163,6 +163,15 @@ def tau_hat(gamma: float) -> PhiRoot:
     return PhiRoot(gamma=float(gamma), tau=float(t))
 
 
+def check_phase(gamma: float, tau, name: str = "tau") -> None:
+    """Raise :class:`DomainError` unless every tau lies in (0, tau_hat(gamma)),
+    the admissible passage phases of a zone with shape ratio gamma."""
+    th = tau_hat(gamma).tau
+    t = np.asarray(tau, dtype=float)
+    if not np.all((t > 0.0) & (t < th)):
+        raise DomainError(f"{name}={tau!r} outside (0, {th!r}) for gamma={gamma!r}")
+
+
 def g_ratio(gamma: float, tau):
     """Radial growth ratio of one passage:
     (phi(-gamma, tau) / phi(gamma, tau)) * exp(2*gamma*tau).
@@ -173,17 +182,13 @@ def g_ratio(gamma: float, tau):
     tau -> 0+ (both kernel evaluations fall into the series branch there,
     so the limit is smooth).
     """
-    th = tau_hat(gamma).tau
+    check_phase(gamma, tau)
     t = np.asarray(tau, dtype=float)
-    if not np.all((t > 0.0) & (t < th)):
-        raise DomainError(f"tau must lie in (0, {th!r}) for gamma={gamma!r}")
     return _scalar_or_array(np.asarray(phi_scaled(-gamma, t)) / phi_scaled(gamma, t))
 
 
 def log_g(gamma: float, tau):
     """log(g_ratio), from logarithms of the scaled kernel."""
-    th = tau_hat(gamma).tau
+    check_phase(gamma, tau)
     t = np.asarray(tau, dtype=float)
-    if not np.all((t > 0.0) & (t < th)):
-        raise DomainError(f"tau must lie in (0, {th!r}) for gamma={gamma!r}")
     return _scalar_or_array(np.log(phi_scaled(-gamma, t)) - np.log(phi_scaled(gamma, t)))

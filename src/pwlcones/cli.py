@@ -9,7 +9,14 @@ import sys
 import numpy as np
 
 from .auxiliary import phi, tau_hat
-from .cones import analyze_system
+from .cones import (
+    CENTER_TOL,
+    DEGENERACY_TOL,
+    GRID_DEFAULT,
+    RESIDUAL_TARGET,
+    ConeKind,
+    analyze_system,
+)
 from .errors import (
     AngleRegionViolation,
     Diverged,
@@ -22,7 +29,7 @@ from .errors import (
     PwlError,
 )
 from .model import load_system, system_to_json
-from .simulate import trace_orbit, trace_summary, write_trace_csv
+from .simulate import SAMPLES_PER_DWELL, trace_orbit, trace_summary, write_trace_csv
 from .synthesis import SynthesisInput, synthesize
 
 EXIT_OK = 0
@@ -54,15 +61,20 @@ def _cmd_tau_hat(args) -> int:
     return EXIT_OK
 
 
-def _cmd_analyze(args) -> int:
+def _load(path):
+    """``(system, EXIT_OK)``, or ``(None, exit code)`` after printing the
+    load error."""
     try:
-        system = load_system(args.system)
-    except NotFocusType as exc:
+        return load_system(path), EXIT_OK
+    except (NotFocusType, MalformedInput, NotContinuous, NotObservable) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_FOCUS
-    except (MalformedInput, NotContinuous, NotObservable) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
+        return None, EXIT_NOT_FOCUS if isinstance(exc, NotFocusType) else EXIT_MALFORMED
+
+
+def _cmd_analyze(args) -> int:
+    system, code = _load(args.system)
+    if system is None:
+        return code
     report = analyze_system(
         system,
         grid=args.grid,
@@ -73,8 +85,8 @@ def _cmd_analyze(args) -> int:
     print("system:")
     print(_fmt_eigen("minus", system.minus.eigen))
     print(_fmt_eigen("plus ", system.plus.eigen))
-    n_iso = sum(1 for c in report.cones if c.kind.value == "NonTrivial")
-    n_triv = sum(1 for c in report.cones if c.kind.value == "Trivial")
+    n_iso = sum(1 for c in report.cones if c.kind is ConeKind.NON_TRIVIAL)
+    n_triv = sum(1 for c in report.cones if c.kind is ConeKind.TRIVIAL)
     print(
         f"cones: {n_iso} isolated, {n_triv} trivial, "
         f"continuum: {'yes' if report.family is not None else 'no'}"
@@ -124,14 +136,9 @@ def _cmd_synthesize(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    try:
-        system = load_system(args.system)
-    except NotFocusType as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_FOCUS
-    except (MalformedInput, NotContinuous, NotObservable) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
+    system, code = _load(args.system)
+    if system is None:
+        return code
     try:
         x0 = np.array([float(v) for v in args.x0.split(",")])
         if x0.shape != (3,):
@@ -178,10 +185,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="cone existence analysis of a system JSON")
     p.add_argument("--system", required=True, help="path to a system-spec JSON file")
     p.add_argument("--json", help="write the report JSON here instead of stdout")
-    p.add_argument("--grid", type=int, default=256)
-    p.add_argument("--residual-target", type=float, default=1e-12)
-    p.add_argument("--center-tol", type=float, default=1e-9)
-    p.add_argument("--degeneracy-tol", type=float, default=1e-8)
+    p.add_argument("--grid", type=int, default=GRID_DEFAULT)
+    p.add_argument("--residual-target", type=float, default=RESIDUAL_TARGET)
+    p.add_argument("--center-tol", type=float, default=CENTER_TOL)
+    p.add_argument("--degeneracy-tol", type=float, default=DEGENERACY_TOL)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("synthesize", help="construct a periodic-orbit-carrying system")
@@ -198,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0", required=True, help="comma-separated start state, e.g. 0,4,-1.3040")
     p.add_argument("--crossings", type=int, default=16)
     p.add_argument("--t-max", type=float, default=1e4)
-    p.add_argument("--samples-per-dwell", type=int, default=400)
+    p.add_argument("--samples-per-dwell", type=int, default=SAMPLES_PER_DWELL)
     p.add_argument("--out", help="write the trace CSV here")
     p.set_defaults(func=_cmd_simulate)
     return parser

@@ -15,18 +15,20 @@ the radial dynamics on every cone found.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .auxiliary import log_g, phi_scaled, tau_hat
-from .errors import DomainError, NotApplicable
+from .auxiliary import check_phase, log_g, tau_hat
+from .errors import NotApplicable
 from .halfmaps import (
     entry_slope,
     entry_slope_deriv,
     exit_slope,
     exit_slope_deriv,
+    slope_increment,
 )
 from .model import EigenTriple, PwlSystem
 
@@ -40,12 +42,12 @@ LAM_MATCH_RTOL = 1e-9
 _GRID_INSET = 1e-6
 _NEWTON_ITERS = 60
 _MAX_HALVINGS = 50
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 class ConeKind(Enum):
     TRIVIAL = "Trivial"
     NON_TRIVIAL = "NonTrivial"
-    ONE_ZONAL = "OneZonal"
     FAMILY = "Family"
 
 
@@ -100,15 +102,8 @@ class ConeFamily:
     dynamics: ConeDynamics
 
     def tau_plus_of(self, tau_minus):
-        t = np.asarray(tau_minus, dtype=float)
-        if not np.all((t > 0.0) & (t < 2.0 * math.pi)):
-            raise DomainError("tau_minus must lie in (0, 2*pi)")
-        # arccot onto (0, pi) keeps tau_plus in (0, 2*pi) and sends pi to pi
-        cot_half = np.cos(0.5 * t) / np.sin(0.5 * t)
-        out = 2.0 * (0.5 * math.pi - np.arctan(-(self.beta_minus / self.beta_plus) * cot_half))
-        if out.ndim == 0:
-            return float(out)
-        return out
+        check_phase(0.0, tau_minus, "tau_minus")  # tau_hat(0) = 2*pi
+        return _family_tau_plus(self.beta_minus, self.beta_plus, tau_minus)
 
     def to_json(self) -> dict:
         return {
@@ -156,14 +151,21 @@ class ExistenceReport:
         }
 
 
-def _check_pair(system: PwlSystem, tau_minus: float, tau_plus: float) -> tuple[float, float]:
-    thm = tau_hat(system.minus.eigen.gamma).tau
-    thp = tau_hat(system.plus.eigen.gamma).tau
-    if not 0.0 < tau_minus < thm:
-        raise DomainError(f"tau_minus={tau_minus!r} outside (0, {thm!r})")
-    if not 0.0 < tau_plus < thp:
-        raise DomainError(f"tau_plus={tau_plus!r} outside (0, {thp!r})")
-    return thm, thp
+def _family_tau_plus(beta_minus: float, beta_plus: float, tau_minus):
+    """The continuum's relation cot(tau_minus/2)/cot(tau_plus/2) =
+    -beta_plus/beta_minus solved for tau_plus; arccot onto (0, pi) keeps
+    tau_plus in (0, 2*pi) and sends pi to pi."""
+    t = np.asarray(tau_minus, dtype=float)
+    cot_half = np.cos(0.5 * t) / np.sin(0.5 * t)
+    out = 2.0 * (0.5 * math.pi - np.arctan(-(beta_minus / beta_plus) * cot_half))
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+def _check_pair(system: PwlSystem, tau_minus: float, tau_plus: float) -> None:
+    check_phase(system.minus.eigen.gamma, tau_minus, "tau_minus")
+    check_phase(system.plus.eigen.gamma, tau_plus, "tau_plus")
 
 
 def return_log_ratio(system: PwlSystem, tau_minus: float, tau_plus: float) -> float:
@@ -206,6 +208,13 @@ def _equal_lams(system: PwlSystem) -> bool:
     return abs(lp - lm) <= LAM_MATCH_RTOL * max(1.0, abs(lm), abs(lp))
 
 
+def _trivial_rm1(system: PwlSystem) -> float:
+    """Radial factor minus one of the trivial cone (the shared focus plane):
+    half a turn in each zone, expm1(pi (alpha-/beta- + alpha+/beta+))."""
+    em, ep = system.minus.eigen, system.plus.eigen
+    return math.expm1(math.pi * (em.alpha / em.beta + ep.alpha / ep.beta))
+
+
 def cone_continuum(system: PwlSystem, n: int = 201) -> ConeFamily:
     """The full cone continuum of a system with both shape ratios zero and
     equal real eigenvalues, sampled at ``n`` phase pairs (odd ``n`` hits the
@@ -215,14 +224,12 @@ def cone_continuum(system: PwlSystem, n: int = 201) -> ConeFamily:
     if not _equal_lams(system):
         raise NotApplicable("cone continuum requires equal real eigenvalues")
     em, ep = system.minus.eigen, system.plus.eigen
-    dynamics = _classify_rm1(
-        math.expm1(em.lam * (1.0 / em.beta + 1.0 / ep.beta) * math.pi), CENTER_TOL
-    )
+    # the family's radial factor is the same on every pair, so it equals the
+    # trivial cone's at the half-turn pair
+    dynamics = _classify_rm1(_trivial_rm1(system), CENTER_TOL)
     margin = 1e-3
     tms = np.linspace(margin, 2.0 * math.pi - margin, n)
-    cot_half = np.cos(0.5 * tms) / np.sin(0.5 * tms)
-    tps = 2.0 * (0.5 * math.pi - np.arctan(-(em.beta / ep.beta) * cot_half))
-    pairs = np.column_stack([tms, tps])
+    pairs = np.column_stack([tms, _family_tau_plus(em.beta, ep.beta, tms)])
     pairs.setflags(write=False)
     return ConeFamily(beta_minus=em.beta, beta_plus=ep.beta, pairs=pairs, dynamics=dynamics)
 
@@ -233,13 +240,22 @@ def one_zone_cone_check(eigen: EigenTriple) -> OneZoneCone:
     eigenvalue equals the spiral's real part).  The witness is the
     x1 displacement factor after one full turn,
     exp(2 pi alpha/beta) (1 - exp(2 pi gamma)) / (beta^2 (1 + gamma^2)),
-    which is zero exactly at gamma = 0."""
+    which is zero exactly at gamma = 0.  It is formed in log form and is
+    +/-inf where its magnitude exceeds the float range."""
     g = eigen.gamma
-    witness = (
-        math.exp(2.0 * math.pi * eigen.alpha / eigen.beta)
-        * -math.expm1(2.0 * math.pi * g)
-        / (eigen.beta**2 * (1.0 + g * g))
-    )
+    witness = 0.0
+    if g != 0.0:
+        x = 2.0 * math.pi * g
+        # log|expm1(x)| = max(x, 0) + log(-expm1(-|x|))
+        log_mag = (
+            2.0 * math.pi * eigen.alpha / eigen.beta
+            + max(x, 0.0)
+            + math.log(-math.expm1(-abs(x)))
+            - 2.0 * math.log(eigen.beta)
+            - math.log1p(g * g)
+        )
+        mag = math.exp(log_mag) if log_mag < _LOG_FLOAT_MAX else math.inf
+        witness = -math.copysign(mag, g)
     return OneZoneCone(exists=abs(g) < 1e-9, witness_residual=witness)
 
 
@@ -255,7 +271,7 @@ def necessary_screen(system: PwlSystem) -> ScreenResult:
     em, ep = system.minus.eigen, system.plus.eigen
     gm, gp = em.gamma, ep.gamma
     lm, lp = em.lam, ep.lam
-    if abs(gm) <= GAMMA_ZERO_ATOL and abs(gp) <= GAMMA_ZERO_ATOL:
+    if _zero_gammas(system):
         return ScreenResult.PASS if lm * lp <= 0.0 else ScreenResult.FAIL_A
     if gm >= -GAMMA_ZERO_ATOL and gp >= -GAMMA_ZERO_ATOL:
         return ScreenResult.PASS if min(lm, lp) < 0.0 else ScreenResult.FAIL_B
@@ -276,16 +292,12 @@ def classify_dynamics(
     """Radial dynamics on a cone: center / stable focus / unstable focus.
 
     Generic cones use the full-revolution radial factor at the cone's phase
-    pair.  The trivial cone reduces to the sign of alpha+/beta+ +
-    alpha-/beta-, and zero-shape-ratio systems to the sign of the shared
-    real eigenvalue; both reductions are algebraically the same factor.
+    pair (for zero shape ratios its growth terms vanish and it reduces to the
+    real eigenvalues); the trivial cone uses the same factor in the closed
+    form of :func:`_trivial_rm1`.
     """
-    em, ep = system.minus.eigen, system.plus.eigen
     if cone.kind is ConeKind.TRIVIAL:
-        s = em.alpha / em.beta + ep.alpha / ep.beta
-        rm1 = math.expm1(math.pi * s)
-    elif _zero_gammas(system):
-        rm1 = math.expm1(em.lam * (cone.tau_minus / em.beta + cone.tau_plus / ep.beta))
+        rm1 = _trivial_rm1(system)
     else:
         rm1 = math.expm1(return_log_ratio(system, cone.tau_minus, cone.tau_plus))
     return _classify_rm1(rm1, center_tol)
@@ -428,8 +440,7 @@ def solve_invariant_cones(
             )
 
     if equal_lams:
-        s = em.alpha / em.beta + ep.alpha / ep.beta
-        rm1 = math.expm1(math.pi * s)
+        rm1 = _trivial_rm1(system)
         findings.cones.append(
             ConeSolution(
                 tau_minus=math.pi,
@@ -447,12 +458,8 @@ def solve_invariant_cones(
 
 
 def _dlog_g(gamma: float, tau: float) -> float:
-    # d(log g)/d(tau) through the scaled kernel (overflow-free):
-    # (1+g^2) sin(tau) [1/phi_scaled(-g) - 1/phi_scaled(g)] + 2g
-    s = (1.0 + gamma * gamma) * math.sin(tau)
-    return (
-        s / phi_scaled(-gamma, tau) - s / phi_scaled(gamma, tau) + 2.0 * gamma
-    )
+    # d(log g)/d(tau) = S(-g, tau) - S(g, tau) + 2g, S the slope increment
+    return slope_increment(-gamma, tau) - slope_increment(gamma, tau) + 2.0 * gamma
 
 
 def slope_map_multiplier(system: PwlSystem, tau_minus: float, tau_plus: float) -> float:

@@ -38,10 +38,6 @@ class NotApplicable(PwlError):
     """The operation's structural preconditions do not hold for this system."""
 
 
-class SingularModalMatrix(PwlError):
-    """The modal basis degenerated; cannot happen for beta > 0, kept as a guard."""
-
-
 class AngleRegionViolation(DomainError):
     """Synthesis angles violate the admissible-region constraints."""
 

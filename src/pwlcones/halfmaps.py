@@ -21,8 +21,8 @@ from enum import Enum
 
 import numpy as np
 
-from .auxiliary import _scalar_or_array, phi_scaled, tau_hat
-from .errors import DomainError, NoReturnFound, SingularModalMatrix, WrongHalfPlane
+from .auxiliary import _scalar_or_array, check_phase, g_ratio, phi_scaled, tau_hat
+from .errors import NoReturnFound, WrongHalfPlane
 from .model import EigenTriple, PwlSystem
 
 EDGE_GUARD = 1e-9        # relative inset of the scanned (0, tau_hat) interval
@@ -54,12 +54,7 @@ def modal_matrix(eigen: EigenTriple) -> np.ndarray:
 def flow_coefficients(eigen: EigenTriple, x0) -> np.ndarray:
     """Coordinates of x0 in the modal basis; the x1 component of the flow is
     then  exp(alpha t) (c1 cos(beta t) - c2 sin(beta t)) + c3 exp(lam t)."""
-    m = modal_matrix(eigen)
-    det = float(np.linalg.det(m))
-    expected = eigen.beta**3 * (1.0 + eigen.gamma**2)
-    if not abs(det) > 1e-12 * max(1.0, expected):
-        raise SingularModalMatrix(f"modal matrix is singular (det={det!r})")
-    return np.linalg.solve(m, np.asarray(x0, dtype=float))
+    return np.linalg.solve(modal_matrix(eigen), np.asarray(x0, dtype=float))
 
 
 def x1_at(eigen: EigenTriple, coeffs: np.ndarray, t):
@@ -102,81 +97,65 @@ def zone_flow(eigen: EigenTriple, x0, t):
     return out
 
 
+def slope_increment(gamma: float, tau):
+    """S(gamma, tau) = (1+gamma^2) sin(tau) / phi_scaled(gamma, tau), the
+    kernel of both passage slopes: entry = lam + beta S(gamma, tau) and
+    exit = lam - beta S(-gamma, tau).  With phi_scaled = phi exp(-gamma tau)
+    the fraction equals (1+gamma^2) exp(gamma tau) sin(tau) / phi(gamma, tau)
+    without the overflow of strong shape ratios."""
+    return (1.0 + gamma * gamma) * np.sin(tau) / phi_scaled(gamma, tau)
+
+
+def slope_increment_deriv(gamma: float, tau):
+    """d S(gamma, tau) / d tau.  With D = phi_scaled(gamma, .), which satisfies
+    D' = -gamma D + (1+gamma^2) sin, and q = (1+gamma^2) / D:
+    S' = q (cos + gamma sin) - (q sin)^2.  Dividing by D twice, never by
+    D*D, keeps it finite where D*D would overflow."""
+    q = (1.0 + gamma * gamma) / np.asarray(phi_scaled(gamma, tau))
+    st = np.sin(tau)
+    return q * (np.cos(tau) + gamma * st) - (q * st) ** 2
+
+
 def entry_slope(eigen: EigenTriple, tau):
     """Slope z/y of the ray that begins a passage of phase tau:
-    lam + beta (1+gamma^2) exp(gamma tau) sin(tau) / phi(gamma, tau),
-    evaluated through the scaled kernel so strong shape ratios do not
-    overflow: the fraction equals sin(tau) / phi_scaled(gamma, tau)."""
-    g, be = eigen.gamma, eigen.beta
-    t = np.asarray(tau, dtype=float)
-    return _scalar_or_array(eigen.lam + be * (1.0 + g * g) * np.sin(t) / phi_scaled(g, t))
+    lam + beta S(gamma, tau)."""
+    return _scalar_or_array(eigen.lam + eigen.beta * slope_increment(eigen.gamma, tau))
 
 
 def exit_slope(eigen: EigenTriple, tau):
     """Slope z/y where the passage of phase tau lands back on the plane:
-    lam - beta (1+gamma^2) exp(-gamma tau) sin(tau) / phi(-gamma, tau),
-    i.e. lam - beta (1+gamma^2) sin(tau) / phi_scaled(-gamma, tau)."""
-    g, be = eigen.gamma, eigen.beta
-    t = np.asarray(tau, dtype=float)
-    return _scalar_or_array(eigen.lam - be * (1.0 + g * g) * np.sin(t) / phi_scaled(-g, t))
+    lam - beta S(-gamma, tau)."""
+    return _scalar_or_array(eigen.lam - eigen.beta * slope_increment(-eigen.gamma, tau))
 
 
 def entry_slope_deriv(eigen: EigenTriple, tau):
-    """d(entry_slope)/d(tau).  With D = phi_scaled(gamma, .), which satisfies
-    D' = -gamma D + (1+gamma^2) sin, the derivative is
-    beta (1+g^2) [(cos + g sin) D - (1+g^2) sin^2] / D^2."""
-    g, be = eigen.gamma, eigen.beta
-    t = np.asarray(tau, dtype=float)
-    d = np.asarray(phi_scaled(g, t))
-    st, ct = np.sin(t), np.cos(t)
-    return _scalar_or_array(
-        be * (1.0 + g * g) * ((ct + g * st) * d - (1.0 + g * g) * st * st) / (d * d)
-    )
+    """d(entry_slope)/d(tau) = beta S'(gamma, tau)."""
+    return _scalar_or_array(eigen.beta * slope_increment_deriv(eigen.gamma, tau))
 
 
 def exit_slope_deriv(eigen: EigenTriple, tau):
-    g, be = eigen.gamma, eigen.beta
-    t = np.asarray(tau, dtype=float)
-    e = np.asarray(phi_scaled(-g, t))
-    st, ct = np.sin(t), np.cos(t)
-    return _scalar_or_array(
-        -be * (1.0 + g * g) * ((ct - g * st) * e - (1.0 + g * g) * st * st) / (e * e)
-    )
+    """d(exit_slope)/d(tau) = -beta S'(-gamma, tau)."""
+    return _scalar_or_array(-eigen.beta * slope_increment_deriv(-eigen.gamma, tau))
 
 
-def _check_tau(eigen: EigenTriple, tau) -> float:
-    th = tau_hat(eigen.gamma).tau
-    t = np.asarray(tau, dtype=float)
-    if not np.all((t > 0.0) & (t < th)):
-        raise DomainError(f"tau={tau!r} outside (0, {th!r}) for gamma={eigen.gamma!r}")
-    return th
-
-
-def slope_ratios(side: ZoneSide, eigen: EigenTriple, tau):
-    """(entry slope, exit slope) of the passage with phase tau.
-
-    The formula pair is the same for both sides (see the module docstring);
-    the side argument documents which half-plane orientation the caller is
-    working in.
-    """
-    _check_tau(eigen, tau)
+def slope_ratios(eigen: EigenTriple, tau):
+    """(entry slope, exit slope) of the passage with phase tau; the formula
+    pair is the same for both sides (see the module docstring)."""
+    check_phase(eigen.gamma, tau)
     return entry_slope(eigen, tau), exit_slope(eigen, tau)
 
 
-def radial_ratio(side: ZoneSide, eigen: EigenTriple, tau):
+def radial_ratio(eigen: EigenTriple, tau):
     """Signed stretch y_out/y_in of one passage:
     -(phi(-gamma, tau)/phi(gamma, tau)) exp((gamma + alpha/beta) tau).
 
-    Since gamma + alpha/beta = 2 gamma + lam/beta, this is the scaled-kernel
-    ratio times exp(lam tau / beta).  Always negative: the passage lands on
-    the opposite half of the plane.
+    Since gamma + alpha/beta = 2 gamma + lam/beta, this is -g_ratio times
+    exp(lam tau / beta).  Always negative: the passage lands on the opposite
+    half of the plane.
     """
-    _check_tau(eigen, tau)
-    g = eigen.gamma
     t = np.asarray(tau, dtype=float)
-    return _scalar_or_array(
-        -np.asarray(phi_scaled(-g, t)) / phi_scaled(g, t) * np.exp(eigen.lam / eigen.beta * t)
-    )
+    growth = np.asarray(g_ratio(eigen.gamma, t))
+    return _scalar_or_array(-growth * np.exp(eigen.lam / eigen.beta * t))
 
 
 def _scan_grid(th: float) -> np.ndarray:
@@ -291,7 +270,7 @@ def half_map(side: ZoneSide, system: PwlSystem, point) -> HalfMapResult:
     slope = z / y
     tau = invert_entry_slope(eigen, slope)
     out_slope = exit_slope(eigen, tau)
-    ratio = radial_ratio(side, eigen, tau)
+    ratio = radial_ratio(eigen, tau)
     y_out = ratio * y
     return HalfMapResult(
         tau=tau,

@@ -174,25 +174,11 @@ def invariant_line(eigen: EigenTriple) -> np.ndarray:
     return np.array([1.0, 2.0 * eigen.alpha, eigen.alpha**2 + eigen.beta**2])
 
 
-@dataclass(frozen=True)
-class FocusPlane:
-    """The two-dimensional invariant plane of a zone's complex pair:
-    lam^2 * x1 - lam * y + z = 0.  Its normal is a left eigenvector of the
-    companion matrix, so normal . (A p) = lam * (normal . p)."""
-
-    lam: float
-
-    @property
-    def normal(self) -> np.ndarray:
-        return np.array([self.lam * self.lam, -self.lam, 1.0])
-
-    def contains(self, point, atol: float = 1e-10) -> bool:
-        p = np.asarray(point, dtype=float)
-        return bool(abs(float(self.normal @ p)) <= atol * max(1.0, float(np.linalg.norm(p))))
-
-
-def focus_plane(eigen: EigenTriple) -> FocusPlane:
-    return FocusPlane(lam=eigen.lam)
+def focus_plane(eigen: EigenTriple) -> np.ndarray:
+    """Normal (lam^2, -lam, 1) of the zone's two-dimensional invariant plane
+    lam^2 * x1 - lam * y + z = 0; a left eigenvector of the companion matrix,
+    so normal . (A p) = lam * (normal . p)."""
+    return np.array([eigen.lam * eigen.lam, -eigen.lam, 1.0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,11 +304,25 @@ def canonicalize(raw_a_plus, raw_a_minus) -> PwlSystem:
 #   {"minus": {"lambda": ..., "alpha": ..., "beta": ...}, "plus": {...}}
 #   {"A_minus": [[...], [...], [...]], "A_plus": [[...], [...], [...]]}
 #
-# Exactly one representation per zone; numbers are IEEE doubles.
+# Exactly one representation per zone; numbers are finite IEEE doubles.
 # ---------------------------------------------------------------------------
 
 _COEFF_KEYS = {"delta", "m", "d"}
 _EIGEN_KEYS = {"lambda", "alpha", "beta"}
+
+
+def _finite_floats(values, shape: tuple, what: str) -> np.ndarray:
+    """``values`` as a float array of ``shape``; MalformedInput unless every
+    entry is a finite number."""
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise MalformedInput(f"{what} must be numeric") from exc
+    if arr.shape != shape:
+        raise MalformedInput(f"{what} must have shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise MalformedInput(f"{what} must be finite (NaN and infinities are rejected)")
+    return arr
 
 
 def _zone_from_json(obj, label: str) -> ZoneSpec:
@@ -330,21 +330,15 @@ def _zone_from_json(obj, label: str) -> ZoneSpec:
         raise MalformedInput(f"zone {label!r} must be an object")
     keys = set(obj.keys())
     if keys == _COEFF_KEYS:
-        try:
-            coeffs = CanonicalCoeffs(
-                delta=float(obj["delta"]), m=float(obj["m"]), d=float(obj["d"])
-            )
-        except (TypeError, ValueError) as exc:
-            raise MalformedInput(f"zone {label!r}: non-numeric coefficient") from exc
-        return ZoneSpec.from_coeffs(coeffs)
+        delta, m, d = _finite_floats(
+            [obj["delta"], obj["m"], obj["d"]], (3,), f"zone {label!r} coefficients"
+        ).tolist()
+        return ZoneSpec.from_coeffs(CanonicalCoeffs(delta=delta, m=m, d=d))
     if keys == _EIGEN_KEYS:
-        try:
-            eigen = EigenTriple(
-                lam=float(obj["lambda"]), alpha=float(obj["alpha"]), beta=float(obj["beta"])
-            )
-        except (TypeError, ValueError) as exc:
-            raise MalformedInput(f"zone {label!r}: non-numeric eigenvalue") from exc
-        return ZoneSpec.from_eigen(eigen)
+        lam, alpha, beta = _finite_floats(
+            [obj["lambda"], obj["alpha"], obj["beta"]], (3,), f"zone {label!r} eigenvalues"
+        ).tolist()
+        return ZoneSpec.from_eigen(EigenTriple(lam=lam, alpha=alpha, beta=beta))
     raise MalformedInput(
         f"zone {label!r} must carry exactly the keys {sorted(_COEFF_KEYS)} "
         f"or {sorted(_EIGEN_KEYS)}, got {sorted(keys)}"
@@ -357,11 +351,8 @@ def system_from_json(doc) -> PwlSystem:
         raise MalformedInput("system spec must be a JSON object")
     keys = set(doc.keys())
     if keys == {"A_minus", "A_plus"}:
-        try:
-            am = np.asarray(doc["A_minus"], dtype=float)
-            ap = np.asarray(doc["A_plus"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise MalformedInput("raw zone matrices must be numeric 3x3 arrays") from exc
+        am = _finite_floats(doc["A_minus"], (3, 3), "A_minus")
+        ap = _finite_floats(doc["A_plus"], (3, 3), "A_plus")
         return canonicalize(ap, am)
     if keys == {"minus", "plus"}:
         return PwlSystem(

@@ -9,6 +9,7 @@ x1 along the closed-form flow followed by bisection.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .auxiliary import tau_hat
 from .errors import Diverged, OriginReached, PwlError
-from .halfmaps import ZoneSide, flow_coefficients, x1_at, zone_flow
+from .halfmaps import ZoneSide, _zone_of, flow_coefficients, x1_at, zone_flow
 from .model import PwlSystem
 
 NORM_FLOOR = 1e-300
@@ -77,7 +78,7 @@ def rk4_flow(matrix, x0, t_end: float, step: float):
     return times, states
 
 
-def _zone_of_state(x: np.ndarray, norm: float) -> ZoneSide | None:
+def _zone_of_state(x: np.ndarray) -> ZoneSide | None:
     if x[0] < 0.0:
         return ZoneSide.MINUS
     if x[0] > 0.0:
@@ -87,6 +88,46 @@ def _zone_of_state(x: np.ndarray, norm: float) -> ZoneSide | None:
     if x[1] < 0.0:
         return ZoneSide.PLUS
     return None  # tangency line
+
+
+def _check_norm(trace: OrbitTrace, n: float, t: float) -> float:
+    """Abort the trace when the state norm ``n`` leaves [NORM_FLOOR, NORM_CEIL].
+    Callers take norms with math.hypot, which scales internally and so stays
+    finite up to the ceiling, where a sum of squares would overflow."""
+    if n < NORM_FLOOR:
+        trace.termination = "origin"
+        raise OriginReached(f"trajectory norm fell below {NORM_FLOOR} at t={t!r}", trace=trace)
+    if n > NORM_CEIL:
+        trace.termination = "diverged"
+        raise Diverged(f"trajectory norm exceeded {NORM_CEIL} at t={t!r}", trace=trace)
+    return n
+
+
+def _sample_dwell(
+    trace: OrbitTrace, eigen, x, zone: ZoneSide, t_start: float, duration: float, n: int
+) -> None:
+    """Append ``n`` states of the dwell from ``x`` at ``t_start``, evenly
+    spaced over [0, duration)."""
+    ts = np.linspace(0.0, duration, n, endpoint=False)
+    states = zone_flow(eigen, x, ts)
+    trace.samples.extend((t_start + float(t), states[i].copy(), zone) for i, t in enumerate(ts))
+
+
+def _crossing_time(
+    eigen, coeffs, lo: float, hi: float, inside_positive: bool, t_global: float
+) -> float:
+    """Bisect a bracketed sign change of x1 to relative time tolerance."""
+    for _ in range(_BISECT_CAP):
+        if hi - lo <= CROSS_TIME_RTOL * max(1.0, t_global + hi):
+            break
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if (x1_at(eigen, coeffs, mid) > 0.0) == inside_positive:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def trace_orbit(
@@ -115,7 +156,7 @@ def trace_orbit(
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (3,):
         raise ValueError("x0 must be a 3-vector")
-    norm0 = float(np.linalg.norm(x))
+    norm0 = math.hypot(*x)
     if norm0 == 0.0:
         raise ValueError("x0 must be nonzero")
     trace = OrbitTrace()
@@ -123,7 +164,7 @@ def trace_orbit(
     ref = x.copy() if on_plane else None
     ref_sign = float(np.sign(x[1])) if ref is not None else 0.0
 
-    zone = _zone_of_state(x, norm0)
+    zone = _zone_of_state(x)
     if zone is None:
         trace.samples.append((0.0, x.copy(), ZoneSide.PLUS))
         trace.termination = "tangency"
@@ -138,86 +179,40 @@ def trace_orbit(
         if t_global >= t_max:
             trace.termination = "t_max"
             return trace
-        eigen = (system.minus if zone is ZoneSide.MINUS else system.plus).eigen
+        eigen = _zone_of(system, zone).eigen
         chunk = tau_hat(eigen.gamma).tau / eigen.beta
         coeffs = flow_coefficients(eigen, x)
-        bracket = None
-        t_off = 0.0
-        while bracket is None:
-            if t_global + t_off >= t_max:
-                ts = np.linspace(0.0, t_max - t_global, samples_per_dwell, endpoint=False)
-                states = zone_flow(eigen, x, ts)
-                trace.samples.extend(
-                    (t_global + float(t), states[i].copy(), zone) for i, t in enumerate(ts)
-                )
-                trace.termination = "t_max"
-                return trace
-            ts = np.linspace(t_off, t_off + chunk, SCAN_PER_TURN + 1)
-            x1 = x1_at(eigen, coeffs, ts)
-            left = x1 > 0.0 if zone is ZoneSide.MINUS else x1 < 0.0
-            left[0] = False
-            if left.any():
-                k = int(np.argmax(left))
-                bracket = (float(ts[k - 1]), float(ts[k]))
-            else:
-                t_off += chunk
-                edge = zone_flow(eigen, x, t_off)
-                n = float(np.linalg.norm(edge))
-                if n < NORM_FLOOR:
-                    trace.termination = "origin"
-                    raise OriginReached(
-                        f"trajectory norm fell below {NORM_FLOOR} at t={t_global + t_off!r}",
-                        trace=trace,
-                    )
-                if n > NORM_CEIL:
-                    trace.termination = "diverged"
-                    raise Diverged(
-                        f"trajectory norm exceeded {NORM_CEIL} at t={t_global + t_off!r}",
-                        trace=trace,
-                    )
-        lo, hi = bracket
         inside_positive = zone is ZoneSide.PLUS
-        for _ in range(_BISECT_CAP):
-            if hi - lo <= CROSS_TIME_RTOL * max(1.0, t_global + hi):
-                break
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            v = x1_at(eigen, coeffs, mid)
-            if (v > 0.0) == inside_positive:
-                lo = mid
-            else:
-                hi = mid
-        t_cross = 0.5 * (lo + hi)
+        t_cross = math.inf
+        t_off = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            while t_cross == math.inf and t_global + t_off < t_max:
+                ts = np.linspace(t_off, t_off + chunk, SCAN_PER_TURN + 1)
+                x1 = x1_at(eigen, coeffs, ts)
+                finite = np.isfinite(x1)
+                if not finite.all():  # the state left the float range in this turn
+                    _check_norm(trace, math.inf, t_global + float(ts[np.argmin(finite)]))
+                left = x1 < 0.0 if inside_positive else x1 > 0.0
+                left[0] = False
+                if left.any():
+                    k = int(np.argmax(left))
+                    t_cross = _crossing_time(
+                        eigen, coeffs, float(ts[k - 1]), float(ts[k]), inside_positive, t_global
+                    )
+                else:
+                    t_off += chunk
+                    edge = zone_flow(eigen, x, t_off)
+                    _check_norm(trace, math.hypot(*edge), t_global + t_off)
         if t_global + t_cross > t_max:
-            ts = np.linspace(0.0, t_max - t_global, samples_per_dwell, endpoint=False)
-            states = zone_flow(eigen, x, ts)
-            trace.samples.extend(
-                (t_global + float(t), states[i].copy(), zone) for i, t in enumerate(ts)
-            )
+            _sample_dwell(trace, eigen, x, zone, t_global, t_max - t_global, samples_per_dwell)
             trace.termination = "t_max"
             return trace
-
-        sample_ts = np.linspace(0.0, t_cross, samples_per_dwell, endpoint=False)
-        states = zone_flow(eigen, x, sample_ts)
-        trace.samples.extend(
-            (t_global + float(t), states[i].copy(), zone) for i, t in enumerate(sample_ts)
-        )
+        _sample_dwell(trace, eigen, x, zone, t_global, t_cross, samples_per_dwell)
 
         point = zone_flow(eigen, x, t_cross)
         point[0] = 0.0
         t_global += t_cross
-        norm_cross = float(np.linalg.norm(point))
-        if norm_cross < NORM_FLOOR:
-            trace.termination = "origin"
-            raise OriginReached(
-                f"trajectory norm fell below {NORM_FLOOR} at t={t_global!r}", trace=trace
-            )
-        if norm_cross > NORM_CEIL:
-            trace.termination = "diverged"
-            raise Diverged(
-                f"trajectory norm exceeded {NORM_CEIL} at t={t_global!r}", trace=trace
-            )
+        norm_cross = _check_norm(trace, math.hypot(*point), t_global)
         if abs(point[1]) <= TANGENCY_RTOL * norm_cross:
             trace.samples.append((t_global, point.copy(), zone))
             trace.termination = "tangency"
@@ -226,7 +221,7 @@ def trace_orbit(
         direction = CrossDir.INTO_MINUS if point[1] > 0.0 else CrossDir.INTO_PLUS
         trace.crossings.append(Crossing(t=t_global, point=point.copy(), direction=direction))
         if ref is not None and trace.closure_residual is None and float(np.sign(point[1])) == ref_sign:
-            gap = float(np.linalg.norm(point - ref))
+            gap = math.hypot(*(point - ref))
             trace.closure_residual = gap
             trace.period = t_global
             trace.closed = gap <= CLOSURE_RTOL * norm0

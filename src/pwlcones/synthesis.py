@@ -20,9 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .auxiliary import g_ratio, log_g, phi, tau_hat
+from .auxiliary import check_phase, log_g, tau_hat
 from .cones import matching_residuals, _slope_scale
-from .errors import AngleRegionViolation, NonPositiveBeta, PwlError
+from .errors import AngleRegionViolation, DomainError, NonPositiveBeta, PwlError
+from .halfmaps import slope_increment
 from .model import EigenTriple, PwlSystem
 
 SIN_FLOOR = 1e-12
@@ -60,14 +61,11 @@ class SynthesisInput:
             raise AngleRegionViolation(
                 "c = 0 admits no angle-based construction; use synthesize_balanced"
             )
-        thm = tau_hat(self.gamma_minus).tau
-        thp = tau_hat(self.gamma_plus).tau
-        if not 0.0 < self.tau_minus < thm:
-            raise AngleRegionViolation(
-                f"tau_minus={self.tau_minus!r} outside (0, {thm!r})"
-            )
-        if not 0.0 < self.tau_plus < thp:
-            raise AngleRegionViolation(f"tau_plus={self.tau_plus!r} outside (0, {thp!r})")
+        try:
+            check_phase(self.gamma_minus, self.tau_minus, "tau_minus")
+            check_phase(self.gamma_plus, self.tau_plus, "tau_plus")
+        except DomainError as exc:
+            raise AngleRegionViolation(str(exc)) from exc
         sm, sp = math.sin(self.tau_minus), math.sin(self.tau_plus)
         if abs(sm) < SIN_FLOOR or abs(sp) < SIN_FLOOR:
             raise AngleRegionViolation("angles must stay away from pi (and 0)")
@@ -98,24 +96,28 @@ class SynthesisOutput:
     nabla_value: float | None
 
 
+def _solve_rates(inp: SynthesisInput) -> tuple[float, float, float]:
+    """Cramer's rule on the slope-matching conditions read as a linear system
+    for the rotation rates, with S the slope increment:
+
+        [[ S(g-, tau-),   S(-g+, tau+)],   [beta_minus]   [c]
+         [-S(-g-, tau-), -S(g+, tau+) ]] . [beta_plus ] = [c]
+
+    Returns ``(determinant, beta_minus, beta_plus)``.
+    """
+    gm, gp = inp.gamma_minus, inp.gamma_plus
+    tm, tp = inp.tau_minus, inp.tau_plus
+    a11, a12 = slope_increment(gm, tm), slope_increment(-gp, tp)
+    a21, a22 = -slope_increment(-gm, tm), -slope_increment(gp, tp)
+    det = a11 * a22 - a12 * a21
+    return float(det), float(inp.c * (a22 - a12) / det), float(inp.c * (a11 - a21) / det)
+
+
 def synthesis_determinant(inp: SynthesisInput) -> float:
     """Determinant of the 2x2 linear system the slope-matching conditions
     impose on (beta_minus, beta_plus); its sign equals sgn(gamma) on the
     admissible region, which is what keeps both rates positive."""
-    g, k = inp.gamma, inp.k
-    tm, tp = inp.tau_minus, inp.tau_plus
-    return (
-        -(1.0 + g * g)
-        * (1.0 + k * k * g * g)
-        * (
-            math.sin(tm)
-            * math.sin(tp)
-            * math.exp(-g * tp)
-            * math.exp(k * g * tm)
-            / (phi(-g, tp) * phi(k * g, tm))
-        )
-        * (g_ratio(g, tp) - 1.0 / g_ratio(k * g, tm))
-    )
+    return _solve_rates(inp)[0]
 
 
 def nabla_log(inp: SynthesisInput) -> float:
@@ -134,21 +136,8 @@ def synthesize(inp: SynthesisInput) -> SynthesisOutput:
     matching residuals at the input phase pair must come out below
     ``SELF_CHECK_TOL`` (scaled), otherwise construction fails loudly.
     """
-    g, k, c = inp.gamma, inp.k, inp.c
-    tm, tp = inp.tau_minus, inp.tau_plus
-    delta = synthesis_determinant(inp)
-    beta_m = (
-        -(c / delta)
-        * (1.0 + g * g)
-        * math.sin(tp)
-        * (math.exp(g * tp) / phi(g, tp) + math.exp(-g * tp) / phi(-g, tp))
-    )
-    beta_p = (
-        (c / delta)
-        * (1.0 + k * k * g * g)
-        * math.sin(tm)
-        * (math.exp(k * g * tm) / phi(k * g, tm) + math.exp(-k * g * tm) / phi(-k * g, tm))
-    )
+    c, tm, tp = inp.c, inp.tau_minus, inp.tau_plus
+    delta, beta_m, beta_p = _solve_rates(inp)
     if not (beta_m > 0.0 and beta_p > 0.0):
         raise NonPositiveBeta(
             f"construction produced beta_minus={beta_m!r}, beta_plus={beta_p!r}"

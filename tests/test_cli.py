@@ -186,3 +186,25 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert float(proc.stdout.strip()) == tau_hat(1.0).tau
+
+
+_EX1_EIGEN = {"lambda": -10.3322, "alpha": -7.1060, "beta": 3.2259}
+_EX1_MATRIX = [[-24.5442, -1.0, 0.0], [207.7430, 0.0, -1.0], [-629.2483, 0.0, 0.0]]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"minus": {**_EX1_EIGEN, "lambda": math.nan}, "plus": _EX1_EIGEN},
+        {"minus": {**_EX1_EIGEN, "lambda": math.inf}, "plus": _EX1_EIGEN},
+        {"minus": {"delta": math.nan, "m": 1.0, "d": 1.0}, "plus": {"delta": 1, "m": 1, "d": 1}},
+        {"A_minus": [[math.nan, -1.0, 0.0], *_EX1_MATRIX[1:]], "A_plus": _EX1_MATRIX},
+    ],
+    ids=["nan-lambda", "inf-lambda", "nan-delta", "nan-matrix"],
+)
+def test_analyze_rejects_non_finite_spec(doc, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))  # writes NaN / Infinity, which json.loads accepts
+    assert main(["analyze", "--system", str(path)]) == 3
+    assert "finite" in capsys.readouterr().err

@@ -13,6 +13,7 @@ from pwlcones import (
     NotApplicable,
     PwlSystem,
     ScreenResult,
+    SynthesisInput,
     ZoneSide,
     analyze_system,
     classify_dynamics,
@@ -22,6 +23,7 @@ from pwlcones import (
     necessary_screen,
     one_zone_cone_check,
     solve_invariant_cones,
+    synthesize,
     zone_flow,
 )
 from conftest import random_focus_eigen
@@ -304,3 +306,45 @@ def test_analyze_periodic_implies_center_cone():
                 report.family is not None and report.family.dynamics is ConeDynamics.CENTER
             )
             assert has_center
+
+
+# (gamma, k, c, tau_minus, tau_plus): zones with alpha/beta beyond
+# log(DBL_MAX)/(2*pi) or shape ratios near 100 after the design
+STRONG_SHAPE_DESIGNS = [
+    (24.0, 5.0, 10.0, 1.9580463744360055, 3.1537859356556166),
+    (-24.0, 5.0, 10.0, 3.146786412687692, 0.9198835948765263),
+    (-5.222012993705557, 2.2501962277324936, 6.632133797599711, 3.1491479992147244,
+     0.1724235149691435),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("design", STRONG_SHAPE_DESIGNS)
+def test_analyze_strong_shape_designs(design):
+    g, k, c, tm, tp = design
+    out = synthesize(SynthesisInput(gamma=g, k=k, c=c, tau_minus=tm, tau_plus=tp))
+    report = analyze_system(out.system)
+    centers = [
+        cn
+        for cn in report.cones
+        if cn.dynamics is ConeDynamics.CENTER
+        and abs(cn.tau_minus - tm) < 1e-9
+        and abs(cn.tau_plus - tp) < 1e-9
+    ]
+    assert centers
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_one_zone_witness_limits():
+    assert one_zone_cone_check(EigenTriple(lam=0.5, alpha=0.5, beta=2.0)).witness_residual == 0.0
+    # alpha/beta = 200 puts exp(2 pi alpha/beta) far beyond the float range
+    assert one_zone_cone_check(EigenTriple(lam=0.0, alpha=200.0, beta=1.0)).witness_residual == (
+        -math.inf
+    )
+    assert one_zone_cone_check(EigenTriple(lam=400.0, alpha=200.0, beta=1.0)).witness_residual == (
+        math.inf
+    )
+    # and exp(-2 pi 200) underflows to zero without a warning
+    assert one_zone_cone_check(EigenTriple(lam=400.0, alpha=-200.0, beta=1.0)).witness_residual == (
+        0.0
+    )

@@ -114,17 +114,17 @@ def test_slope_formulas_match_flow():
         scale = np.linalg.norm(q)
         assert abs(q[0]) < 1e-9 * max(1.0, scale)
         assert q[2] / q[1] == pytest.approx(exit_slope(e, tau), rel=1e-9, abs=1e-9)
-        assert q[1] == pytest.approx(radial_ratio(ZoneSide.MINUS, e, tau), rel=1e-9)
+        assert q[1] == pytest.approx(radial_ratio(e, tau), rel=1e-9)
 
 
 def test_slope_ratios_symmetric_center():
     e = EigenTriple(lam=0.0, alpha=0.0, beta=1.0)
-    u0, u1 = slope_ratios(ZoneSide.MINUS, e, PI)
+    u0, u1 = slope_ratios(e, PI)
     assert abs(u0) < 1e-14 and abs(u1) < 1e-14
 
 
 def test_slope_ratios_reference_entry(ex1):
-    u0, _ = slope_ratios(ZoneSide.MINUS, ex1.minus.eigen, PI / 4)
+    u0, _ = slope_ratios(ex1.minus.eigen, PI / 4)
     assert u0 == pytest.approx(-0.3260, abs=1e-4)
 
 
@@ -135,20 +135,18 @@ def test_slopes_symmetric_about_lambda_for_zero_gamma():
         be = float(rng.uniform(0.2, 3.0))
         e = EigenTriple(lam=lam, alpha=lam, beta=be)
         tau = float(rng.uniform(0.1, 2 * PI - 0.1))
-        u0, u1 = slope_ratios(ZoneSide.MINUS, e, tau)
+        u0, u1 = slope_ratios(e, tau)
         assert u0 + u1 == pytest.approx(2.0 * lam, rel=1e-12, abs=1e-10)
 
 
 def test_radial_ratio_center_is_minus_one():
     e = EigenTriple(lam=0.0, alpha=0.0, beta=1.7)
     for tau in np.linspace(0.1, 2 * PI - 0.1, 50):
-        assert radial_ratio(ZoneSide.MINUS, e, float(tau)) == pytest.approx(-1.0, abs=1e-12)
+        assert radial_ratio(e, float(tau)) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_radial_ratio_product_at_reference_angles(ex1):
-    prod = radial_ratio(ZoneSide.MINUS, ex1.minus.eigen, PI / 4) * radial_ratio(
-        ZoneSide.PLUS, ex1.plus.eigen, 5 * PI / 4
-    )
+    prod = radial_ratio(ex1.minus.eigen, PI / 4) * radial_ratio(ex1.plus.eigen, 5 * PI / 4)
     assert prod == pytest.approx(1.0, abs=1e-6)
 
 
@@ -156,7 +154,7 @@ def test_radial_ratio_equals_growth_ratio_when_exponents_cancel():
     # alpha = beta makes the exponent (gamma + alpha/beta) tau = 2 gamma tau
     # at gamma = 1, so the ratio is exactly -g_ratio
     e = EigenTriple(lam=0.0, alpha=1.0, beta=1.0)
-    val = radial_ratio(ZoneSide.MINUS, e, PI / 4)
+    val = radial_ratio(e, PI / 4)
     assert val == pytest.approx(-g_ratio(1.0, PI / 4), rel=1e-13)
     assert val == pytest.approx(-1.7087, abs=1e-4)
 
@@ -167,7 +165,7 @@ def test_radial_ratio_always_negative():
         e = random_focus_eigen(rng, lam_scale=3.0)
         th = tau_hat(e.gamma).tau
         tau = float(rng.uniform(1e-3, 1.0 - 1e-6)) * th
-        assert radial_ratio(ZoneSide.MINUS, e, tau) < 0.0
+        assert radial_ratio(e, tau) < 0.0
 
 
 def test_half_map_reference_point(ex1):

@@ -161,9 +161,9 @@ def test_invariant_line_is_eigenvector():
 
 
 def test_focus_plane_examples():
-    assert np.allclose(focus_plane(EigenTriple(0.0, 1.0, 1.0)).normal, [0.0, 0.0, 1.0])
-    assert np.allclose(focus_plane(EigenTriple(1.0, 1.5, 1.0)).normal, [1.0, -1.0, 1.0])
-    n = focus_plane(EigenTriple(*EX1_MINUS_EIGEN)).normal
+    assert np.allclose(focus_plane(EigenTriple(0.0, 1.0, 1.0)), [0.0, 0.0, 1.0])
+    assert np.allclose(focus_plane(EigenTriple(1.0, 1.5, 1.0)), [1.0, -1.0, 1.0])
+    n = focus_plane(EigenTriple(*EX1_MINUS_EIGEN))
     assert np.abs(n - np.array([106.754, 10.3322, 1.0])).max() < 1e-2
 
 
@@ -172,7 +172,7 @@ def test_focus_plane_is_flow_invariant():
     for _ in range(100):
         e = random_focus_eigen(rng, lam_scale=3.0)
         a = companion_matrix(coeffs_from_eigen(e))
-        n = focus_plane(e).normal
+        n = focus_plane(e)
         # the normal is a left eigenvector: n . (A q) = lam (n . q) for any q
         q = rng.normal(size=3)
         assert float(n @ (a @ q)) == pytest.approx(e.lam * float(n @ q), rel=1e-10, abs=1e-9)

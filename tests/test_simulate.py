@@ -9,6 +9,7 @@ import pytest
 
 from pwlcones import (
     ConeKind,
+    Diverged,
     EigenTriple,
     OriginReached,
     PwlSystem,
@@ -219,3 +220,39 @@ def test_trace_summary_and_csv_roundtrip(ex1, tmp_path):
     assert float(rows[0][0]) == t0
     assert float(rows[0][2]) == s0[1]
     assert rows[0][4] == zone0.value
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_trace_norm_guard_past_sum_of_squares_overflow():
+    # the cone repels transversally (multiplier ~ 576): the orbit shot from its
+    # rounded ray soon misses the plane for good and grows through norms near
+    # 1e154, where a sum of squares overflows, on to the divergence guard
+    import pwlcones as pw
+
+    out = pw.synthesize(pw.SynthesisInput(-1.0, 1.0, 10.0, 3.6396693605935058, 0.9198835948765263))
+    cone = pw.analyze_system(out.system).cones[0]
+    with pytest.raises(Diverged) as excinfo:
+        trace_orbit(out.system, [0.0, 1.0, cone.u0], max_crossings=16)
+    trace = excinfo.value.trace
+    assert trace.termination == "diverged"
+    assert len(trace.crossings) < 16
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e-4, 1e3])
+def test_time_scale_invariance(ex1, scale):
+    # scaling every eigenvalue by s only rescales time: the cone phases stay put
+    em, ep = ex1.minus.eigen, ex1.plus.eigen
+    scaled = PwlSystem.from_eigen(
+        minus=EigenTriple(lam=em.lam * scale, alpha=em.alpha * scale, beta=em.beta * scale),
+        plus=EigenTriple(lam=ep.lam * scale, alpha=ep.alpha * scale, beta=ep.beta * scale),
+    )
+    cones = [c for c in solve_invariant_cones(scaled).cones if c.kind is ConeKind.NON_TRIVIAL]
+    assert len(cones) == 1
+    assert cones[0].tau_minus == pytest.approx(PI / 4, abs=1e-12)
+    assert cones[0].tau_plus == pytest.approx(5 * PI / 4, abs=1e-12)
+    trace = trace_orbit(scaled, [0.0, 1.0, cones[0].u0], max_crossings=2, t_max=1e12)
+    assert trace.closed
+    assert trace.period * scale == pytest.approx(
+        trace_orbit(ex1, [0.0, 1.0, cones[0].u0 / scale], max_crossings=2).period, rel=1e-9
+    )
