@@ -30,7 +30,6 @@ from .errors import DomainError
 SERIES_CUTOFF = 1e-4
 
 ROOT_RESIDUAL_TOL = 1e-12
-_BISECT_STEPS = 120
 
 
 def _scalar_or_array(value):
@@ -97,15 +96,49 @@ def phi_scaled(gamma, tau):
     return _scalar_or_array(np.where(np.abs(t) < SERIES_CUTOFF, series, direct))
 
 
+def _bracket_root(f, lo: float, hi: float, flo: float, fprime=None, tol: float = 0.0) -> float:
+    """Root of ``f`` in [lo, hi], given ``flo = f(lo)`` and a sign change
+    between the ends.
+
+    Bisects until the bracket is no wider than ``tol`` or cannot be split in
+    floating point, returning at once on an exact zero; then takes up to
+    three Newton steps with ``fprime``, each kept inside the final bracket.
+    """
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if (fm > 0.0) == (flo > 0.0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    t = 0.5 * (lo + hi)
+    if fprime is not None:
+        for _ in range(3):
+            d = fprime(t)
+            if d == 0.0:
+                break
+            cand = t - f(t) / d
+            if not lo <= cand <= hi:
+                break
+            t = cand
+    return t
+
+
 @dataclass(frozen=True)
 class PhiRoot:
     """First positive zero of phi(|gamma|, .).
 
     The raw residual |phi(|gamma|, tau)| scales like exp(|gamma| tau) near the
     root, so for large |gamma| one ulp of tau already moves phi by more than
-    any fixed absolute tolerance.  ``residual`` therefore reports the value
-    divided by that natural scale; it is below ROOT_RESIDUAL_TOL always, and
-    the raw value itself is below 1e-12 for moderate shape ratios.
+    any fixed absolute tolerance.  ``residual`` therefore reports the scaled
+    kernel |phi_scaled(|gamma|, tau)| = |phi| exp(-|gamma| tau).  Near the
+    root it moves by about |gamma| per unit of tau, so it stays below
+    ROOT_RESIDUAL_TOL up to |gamma| of about 4.6e3; the raw value itself is
+    below 1e-12 for moderate shape ratios.
     """
 
     gamma: float
@@ -124,42 +157,26 @@ class PhiRoot:
 
     @property
     def residual(self) -> float:
-        g = abs(self.gamma)
-        return abs(phi(g, self.tau)) / max(1.0, math.exp(g * self.tau))
+        return abs(phi_scaled(abs(self.gamma), self.tau))
 
 
 @lru_cache(maxsize=None)
 def tau_hat(gamma: float) -> PhiRoot:
     """First positive zero of phi(|gamma|, .): exactly 2*pi for gamma = 0,
-    otherwise bisection on the guaranteed bracket (pi, 2*pi) followed by one
-    round of Newton polish with the analytic derivative."""
+    otherwise the zero of the overflow-free phi_scaled(|gamma|, .), which has
+    the sign of phi, bracketed by (pi, 2*pi) and polished by Newton with
+    d(phi_scaled)/d(tau) = (1+gamma^2) sin(tau) - |gamma| phi_scaled."""
     g = abs(float(gamma))
     if g == 0.0:
         return PhiRoot(gamma=float(gamma), tau=2.0 * math.pi)
-    lo, hi = math.pi, 2.0 * math.pi
-    flo = phi(g, lo)
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        fm = phi(g, mid)
-        if fm == 0.0:
-            lo = hi = mid
-            break
-        if (flo > 0.0) == (fm > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    t = 0.5 * (lo + hi)
-    for _ in range(3):
-        d = phi_deriv(g, t)
-        if d == 0.0:
-            break
-        step = phi(g, t) / d
-        t_new = t - step
-        if not lo <= t_new <= hi:
-            break
-        t = t_new
+
+    def f(t):
+        return phi_scaled(g, t)
+
+    def fprime(t):
+        return (1.0 + g * g) * math.sin(t) - g * f(t)
+
+    t = _bracket_root(f, math.pi, 2.0 * math.pi, f(math.pi), fprime)
     return PhiRoot(gamma=float(gamma), tau=float(t))
 
 

@@ -61,20 +61,8 @@ def _cmd_tau_hat(args) -> int:
     return EXIT_OK
 
 
-def _load(path):
-    """``(system, EXIT_OK)``, or ``(None, exit code)`` after printing the
-    load error."""
-    try:
-        return load_system(path), EXIT_OK
-    except (NotFocusType, MalformedInput, NotContinuous, NotObservable) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None, EXIT_NOT_FOCUS if isinstance(exc, NotFocusType) else EXIT_MALFORMED
-
-
 def _cmd_analyze(args) -> int:
-    system, code = _load(args.system)
-    if system is None:
-        return code
+    system = load_system(args.system)
     report = analyze_system(
         system,
         grid=args.grid,
@@ -105,21 +93,15 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_synthesize(args) -> int:
-    try:
-        inp = SynthesisInput(
+    out = synthesize(
+        SynthesisInput(
             gamma=args.gamma,
             k=args.k,
             c=args.c,
             tau_minus=args.tau_minus,
             tau_plus=args.tau_plus,
         )
-        out = synthesize(inp)
-    except AngleRegionViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ANGLE_REGION
-    except NonPositiveBeta as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NONPOSITIVE_BETA
+    )
     print("eigenvalues:")
     print(_fmt_eigen("minus", out.eigen_minus))
     print(_fmt_eigen("plus ", out.eigen_plus))
@@ -136,16 +118,15 @@ def _cmd_synthesize(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    system, code = _load(args.system)
-    if system is None:
-        return code
+    system = load_system(args.system)
     try:
         x0 = np.array([float(v) for v in args.x0.split(",")])
         if x0.shape != (3,):
             raise ValueError
     except ValueError:
-        print(f"error: --x0 must be three comma-separated numbers, got {args.x0!r}", file=sys.stderr)
-        return EXIT_MALFORMED
+        raise MalformedInput(
+            f"--x0 must be three comma-separated numbers, got {args.x0!r}"
+        ) from None
     try:
         trace = trace_orbit(
             system,
@@ -211,13 +192,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# exit code of each library error; any other PwlError exits with 1
+_EXIT_CODES = (
+    (NotFocusType, EXIT_NOT_FOCUS),
+    ((MalformedInput, NotContinuous, NotObservable), EXIT_MALFORMED),
+    (AngleRegionViolation, EXIT_ANGLE_REGION),
+    (NonPositiveBeta, EXIT_NONPOSITIVE_BETA),
+)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except PwlError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next((code for kinds, code in _EXIT_CODES if isinstance(exc, kinds)), 1)
 
 
 if __name__ == "__main__":

@@ -350,6 +350,8 @@ def _newton_refine(system, tm, tp, bounds, target):
         for _ in range(_MAX_HALVINGS):
             cm = tm - scale * step[0]
             cp = tp - scale * step[1]
+            if cm == tm and cp == tp:
+                break  # every further halving lands on the same point
             if lo_m < cm < hi_m and lo_p < cp < hi_p:
                 fc = res(cm, cp)
                 if float(np.max(np.abs(fc))) < size:

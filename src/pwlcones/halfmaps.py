@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .auxiliary import _scalar_or_array, check_phase, g_ratio, phi_scaled, tau_hat
+from .auxiliary import _bracket_root, _scalar_or_array, check_phase, g_ratio, phi_scaled, tau_hat
 from .errors import NoReturnFound, WrongHalfPlane
 from .model import EigenTriple, PwlSystem
 
@@ -29,7 +29,6 @@ EDGE_GUARD = 1e-9        # relative inset of the scanned (0, tau_hat) interval
 EDGE_TAIL = 1e-15        # innermost relative offset of the log-spaced tails
 INVERSION_GRID = 2048
 _TAIL_POINTS = 33
-_BISECT_STEPS = 110
 PLANE_ATOL = 1e-10
 
 
@@ -190,29 +189,13 @@ def invert_entry_slope(eigen: EigenTriple, slope: float) -> float:
         root = float(taus[first_exact])
     elif first_flip is not None:
         i = first_flip
-        lo, hi = float(taus[i]), float(taus[i + 1])
-        flo = float(vals[i])
-        for _ in range(_BISECT_STEPS):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            fm = entry_slope(eigen, mid) - slope
-            if fm == 0.0:
-                lo = hi = mid
-                break
-            if (fm > 0.0) == (flo > 0.0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        root = 0.5 * (lo + hi)
-        for _ in range(2):
-            d = entry_slope_deriv(eigen, root)
-            if d == 0.0:
-                break
-            cand = root - (entry_slope(eigen, root) - slope) / d
-            if not lo <= cand <= hi:
-                break
-            root = cand
+        root = _bracket_root(
+            lambda t: entry_slope(eigen, t) - slope,
+            float(taus[i]),
+            float(taus[i + 1]),
+            float(vals[i]),
+            lambda t: entry_slope_deriv(eigen, t),
+        )
     else:
         lo_val = float(vals[0]) + slope
         hi_val = float(vals[-1]) + slope

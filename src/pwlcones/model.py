@@ -17,6 +17,7 @@ anything else raises :class:`~pwlcones.errors.NotFocusType`.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -69,27 +70,29 @@ class CanonicalCoeffs:
     m: float
     d: float
 
+    def __post_init__(self):
+        if not all(math.isfinite(v) for v in self.as_tuple()):
+            raise MalformedInput(f"characteristic coefficients {self.as_tuple()!r} must be finite")
+
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.delta, self.m, self.d)
 
 
-def coeffs_from_eigen(eigen: EigenTriple) -> CanonicalCoeffs:
-    """Expand the spectrum into characteristic coefficients:
-    delta = lam + 2*alpha,  m = 2*lam*alpha + alpha^2 + beta^2,
-    d = lam * (alpha^2 + beta^2)."""
-    lam, al, be = eigen.lam, eigen.alpha, eigen.beta
+def _expand(lam, al, be) -> tuple:
+    """(delta, m, d) = (lam + 2*alpha, 2*lam*alpha + alpha^2 + beta^2,
+    lam * (alpha^2 + beta^2)), the characteristic coefficients of the
+    spectrum (lam, alpha +/- beta*j)."""
     mod2 = al * al + be * be
-    return CanonicalCoeffs(
-        delta=lam + 2.0 * al,
-        m=2.0 * lam * al + mod2,
-        d=lam * mod2,
-    )
+    return lam + 2.0 * al, 2.0 * lam * al + mod2, lam * mod2
+
+
+def coeffs_from_eigen(eigen: EigenTriple) -> CanonicalCoeffs:
+    """Expand the spectrum into characteristic coefficients (see ``_expand``)."""
+    return CanonicalCoeffs(*_expand(eigen.lam, eigen.alpha, eigen.beta))
 
 
 def _coeff_residual(x: np.ndarray, target: np.ndarray) -> float:
-    lam, al, be = x
-    mod2 = al * al + be * be
-    fwd = np.array([lam + 2.0 * al, 2.0 * lam * al + mod2, lam * mod2])
+    fwd = np.array(_expand(*x))
     scale = np.maximum(1.0, np.abs(target))
     return float(np.max(np.abs(fwd - target) / scale))
 
@@ -106,13 +109,20 @@ def eigen_from_coeffs(coeffs: CanonicalCoeffs) -> EigenTriple:
     # discriminant of x^3 + B x^2 + C x + D with B=-delta, C=m, D=-d;
     # for a real root plus a complex pair it equals -4 beta^2 ((lam-alpha)^2+beta^2)^2 < 0
     B, C, D = -dl, m, -d
-    disc = (
-        18.0 * B * C * D
-        - 4.0 * B**3 * D
-        + B * B * C * C
-        - 4.0 * C**3
-        - 27.0 * D * D
-    )
+    try:
+        disc = (
+            18.0 * B * C * D
+            - 4.0 * B**3 * D
+            + B * B * C * C
+            - 4.0 * C**3
+            - 27.0 * D * D
+        )
+    except OverflowError:
+        disc = math.inf
+    if not math.isfinite(disc):
+        raise MalformedInput(
+            f"characteristic cubic of ({dl!r}, {m!r}, {d!r}) has no finite discriminant"
+        )
     if disc >= 0.0:
         raise NotFocusType(
             f"characteristic cubic of ({dl!r}, {m!r}, {d!r}) has three real roots"
@@ -135,9 +145,8 @@ def eigen_from_coeffs(coeffs: CanonicalCoeffs) -> EigenTriple:
                 [mod2, 2.0 * lam * al, 2.0 * lam * be],
             ]
         )
-        fwd = np.array([lam + 2.0 * al, 2.0 * lam * al + mod2, lam * mod2])
         try:
-            step = np.linalg.solve(jac, fwd - target)
+            step = np.linalg.solve(jac, np.array(_expand(lam, al, be)) - target)
         except np.linalg.LinAlgError:
             break
         x = x - step

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .auxiliary import tau_hat
+from .auxiliary import _bracket_root, tau_hat
 from .errors import Diverged, OriginReached, PwlError
 from .halfmaps import ZoneSide, _zone_of, flow_coefficients, x1_at, zone_flow
 from .model import PwlSystem
@@ -27,7 +27,6 @@ CLOSURE_RTOL = 1e-6
 SCAN_PER_TURN = 1024
 SAMPLES_PER_DWELL = 400
 TANGENCY_RTOL = 1e-12
-_BISECT_CAP = 200
 
 
 class CrossDir(Enum):
@@ -113,23 +112,6 @@ def _sample_dwell(
     trace.samples.extend((t_start + float(t), states[i].copy(), zone) for i, t in enumerate(ts))
 
 
-def _crossing_time(
-    eigen, coeffs, lo: float, hi: float, inside_positive: bool, t_global: float
-) -> float:
-    """Bisect a bracketed sign change of x1 to relative time tolerance."""
-    for _ in range(_BISECT_CAP):
-        if hi - lo <= CROSS_TIME_RTOL * max(1.0, t_global + hi):
-            break
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if (x1_at(eigen, coeffs, mid) > 0.0) == inside_positive:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def trace_orbit(
     system: PwlSystem,
     x0,
@@ -196,8 +178,13 @@ def trace_orbit(
                 left[0] = False
                 if left.any():
                     k = int(np.argmax(left))
-                    t_cross = _crossing_time(
-                        eigen, coeffs, float(ts[k - 1]), float(ts[k]), inside_positive, t_global
+                    lo, hi = float(ts[k - 1]), float(ts[k])
+                    t_cross = _bracket_root(
+                        lambda t: x1_at(eigen, coeffs, t),
+                        lo,
+                        hi,
+                        1.0 if inside_positive else -1.0,
+                        tol=CROSS_TIME_RTOL * max(1.0, t_global + hi),
                     )
                 else:
                     t_off += chunk

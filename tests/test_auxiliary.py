@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -116,9 +117,24 @@ def test_tau_hat_residual_absolute_for_moderate_gamma():
 
 
 def test_tau_hat_scaled_residual_for_strong_gamma():
-    for g in [2.0, 5.0, 10.0, 20.0]:
+    for g in [2.0, 5.0, 10.0, 20.0, 150.0, 230.0, 400.0, 1000.0]:
         root = tau_hat(g)
         assert root.residual < 1e-12
+
+
+def test_tau_hat_matches_high_precision_root():
+    # the 60-digit zero of phi(g, .) e^{-g t} = e^{-g t} - cos(t) + g sin(t) on (pi, 2 pi)
+    with mpmath.workdps(60):
+        for g in [1e-3, 0.1, 1.0, 10.0, 100.0, 150.0, 230.0, 400.0, 1000.0]:
+            t = tau_hat(g).tau
+            gm = mpmath.mpf(g)
+            exact = mpmath.findroot(
+                lambda x: mpmath.exp(-gm * x) - mpmath.cos(x) + gm * mpmath.sin(x),
+                (mpmath.pi, 2 * mpmath.pi),
+                solver="anderson",
+            )
+            assert PI < t < 2.0 * PI
+            assert abs(mpmath.mpf(t) - exact) <= math.ulp(t), g
 
 
 def test_phi_root_rejects_non_roots():

