@@ -138,7 +138,9 @@ class PhiRoot:
     kernel |phi_scaled(|gamma|, tau)| = |phi| exp(-|gamma| tau).  Near the
     root it moves by about |gamma| per unit of tau, so it stays below
     ROOT_RESIDUAL_TOL up to |gamma| of about 4.6e3; the raw value itself is
-    below 1e-12 for moderate shape ratios.
+    below 1e-12 for moderate shape ratios.  Beyond that, tau is accepted
+    when the scaled kernel changes sign across its two float neighbours:
+    no float lies closer to the zero.
     """
 
     gamma: float
@@ -152,8 +154,14 @@ class PhiRoot:
             return
         if not math.pi < self.tau < 2.0 * math.pi:
             raise ValueError("first kernel zero must lie in (pi, 2*pi)")
-        if self.residual > ROOT_RESIDUAL_TOL:
+        if self.residual > ROOT_RESIDUAL_TOL and not self._sign_change_at_tau():
             raise ValueError("stored tau is not a kernel zero")
+
+    def _sign_change_at_tau(self) -> bool:
+        g = abs(self.gamma)
+        below = phi_scaled(g, math.nextafter(self.tau, 0.0))
+        above = phi_scaled(g, math.nextafter(self.tau, math.inf))
+        return below <= 0.0 <= above or above <= 0.0 <= below
 
     @property
     def residual(self) -> float:
@@ -165,7 +173,11 @@ def tau_hat(gamma: float) -> PhiRoot:
     """First positive zero of phi(|gamma|, .): exactly 2*pi for gamma = 0,
     otherwise the zero of the overflow-free phi_scaled(|gamma|, .), which has
     the sign of phi, bracketed by (pi, 2*pi) and polished by Newton with
-    d(phi_scaled)/d(tau) = (1+gamma^2) sin(tau) - |gamma| phi_scaled."""
+    d(phi_scaled)/d(tau) = (1+gamma^2) sin(tau) - |gamma| phi_scaled.  The
+    result stays strictly inside (pi, 2*pi): for |gamma| below about 1e-31
+    the zero, near 2*pi - sqrt(4*pi*|gamma|), rounds to 2*pi and the float
+    just below 2*pi is returned; for |gamma| above about 1e16 the zero, near
+    pi + 1/|gamma|, rounds to pi and the float just above pi is returned."""
     g = abs(float(gamma))
     if g == 0.0:
         return PhiRoot(gamma=float(gamma), tau=2.0 * math.pi)
@@ -177,6 +189,7 @@ def tau_hat(gamma: float) -> PhiRoot:
         return (1.0 + g * g) * math.sin(t) - g * f(t)
 
     t = _bracket_root(f, math.pi, 2.0 * math.pi, f(math.pi), fprime)
+    t = min(max(t, math.nextafter(math.pi, 4.0)), math.nextafter(2.0 * math.pi, 0.0))
     return PhiRoot(gamma=float(gamma), tau=float(t))
 
 

@@ -192,7 +192,7 @@ def matching_residuals(system: PwlSystem, tau_minus: float, tau_plus: float):
     em, ep = system.minus.eigen, system.plus.eigen
     ra = exit_slope(ep, tau_plus) - entry_slope(em, tau_minus)
     rb = entry_slope(ep, tau_plus) - exit_slope(em, tau_minus)
-    rc = math.expm1(return_log_ratio(system, tau_minus, tau_plus))
+    rc = _expm1_capped(return_log_ratio(system, tau_minus, tau_plus))
     return ra, rb, rc
 
 
@@ -208,11 +208,17 @@ def _equal_lams(system: PwlSystem) -> bool:
     return abs(lp - lm) <= LAM_MATCH_RTOL * max(1.0, abs(lm), abs(lp))
 
 
+def _expm1_capped(x: float) -> float:
+    """expm1(x), or +inf where e^x exceeds the float range: a radial factor
+    minus one from its logarithm."""
+    return math.inf if x > _LOG_FLOAT_MAX else math.expm1(x)
+
+
 def _trivial_rm1(system: PwlSystem) -> float:
     """Radial factor minus one of the trivial cone (the shared focus plane):
     half a turn in each zone, expm1(pi (alpha-/beta- + alpha+/beta+))."""
     em, ep = system.minus.eigen, system.plus.eigen
-    return math.expm1(math.pi * (em.alpha / em.beta + ep.alpha / ep.beta))
+    return _expm1_capped(math.pi * (em.alpha / em.beta + ep.alpha / ep.beta))
 
 
 def cone_continuum(system: PwlSystem, n: int = 201) -> ConeFamily:
@@ -299,7 +305,7 @@ def classify_dynamics(
     if cone.kind is ConeKind.TRIVIAL:
         rm1 = _trivial_rm1(system)
     else:
-        rm1 = math.expm1(return_log_ratio(system, cone.tau_minus, cone.tau_plus))
+        rm1 = _expm1_capped(return_log_ratio(system, cone.tau_minus, cone.tau_plus))
     return _classify_rm1(rm1, center_tol)
 
 
@@ -428,7 +434,7 @@ def solve_invariant_cones(
             if smin_ratio < degeneracy_tol:
                 findings.degenerate_pairs.append((tm, tp))
                 continue
-            rm1 = math.expm1(return_log_ratio(system, tm, tp))
+            rm1 = _expm1_capped(return_log_ratio(system, tm, tp))
             findings.cones.append(
                 ConeSolution(
                     tau_minus=float(tm),

@@ -16,6 +16,7 @@ data to use and which sign of y is admissible at entry.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -56,11 +57,20 @@ def flow_coefficients(eigen: EigenTriple, x0) -> np.ndarray:
     return np.linalg.solve(modal_matrix(eigen), np.asarray(x0, dtype=float))
 
 
-def x1_at(eigen: EigenTriple, coeffs: np.ndarray, t):
-    """First state component along the zone flow; vectorized over t."""
-    t = np.asarray(t, dtype=float)
+def x1_at(eigen: EigenTriple, coeffs, t):
+    """First state component along the zone flow; vectorized over t.
+
+    A float ``t`` takes a ``math`` branch that returns a float.  It raises
+    ``OverflowError`` where an exponential leaves the float range, so callers
+    use it only between times at which x1 is known to be finite (each
+    exponential is monotone in t)."""
     c1, c2, c3 = coeffs
     be = eigen.beta
+    if isinstance(t, float):
+        return math.exp(eigen.alpha * t) * (
+            c1 * math.cos(be * t) - c2 * math.sin(be * t)
+        ) + c3 * math.exp(eigen.lam * t)
+    t = np.asarray(t, dtype=float)
     out = np.exp(eigen.alpha * t) * (c1 * np.cos(be * t) - c2 * np.sin(be * t)) + c3 * np.exp(
         eigen.lam * t
     )

@@ -27,6 +27,7 @@ CLOSURE_RTOL = 1e-6
 SCAN_PER_TURN = 1024
 SAMPLES_PER_DWELL = 400
 TANGENCY_RTOL = 1e-12
+_RK4_BLOCK = 512  # states per block of rk4_flow: S^0 ... S^(_RK4_BLOCK-1)
 
 
 class CrossDir(Enum):
@@ -41,11 +42,64 @@ class Crossing:
     direction: CrossDir
 
 
+class TraceSamples:
+    """The sampled states of a trace, stored as columns.
+
+    Each dwell adds one block: its times, its ``(n, 3)`` states and the one
+    zone they lie in.  On first read the blocks are concatenated into the
+    columns ``t`` (shape ``(n,)``), ``states`` (shape ``(n, 3)``) and
+    ``zones`` (one ``ZoneSide`` per row); both arrays are read-only.
+    Indexing and iteration yield ``(t, state, zone)`` triples with ``t`` a
+    float and ``state`` a row of ``states``.
+    """
+
+    def __init__(self):
+        self._blocks: list[tuple[np.ndarray, np.ndarray, ZoneSide]] = []
+        self._columns = None
+
+    def add_block(self, t: np.ndarray, states: np.ndarray, zone: ZoneSide) -> None:
+        self._blocks.append((t, states, zone))
+        self._columns = None
+
+    def _concat(self):
+        if self._columns is None:
+            t = np.concatenate([b[0] for b in self._blocks] or [np.empty(0)])
+            states = np.concatenate([b[1] for b in self._blocks] or [np.empty((0, 3))])
+            t.setflags(write=False)
+            states.setflags(write=False)
+            zones = [zone for bt, _, zone in self._blocks for _ in range(len(bt))]
+            self._columns = (t, states, zones)
+        return self._columns
+
+    @property
+    def t(self) -> np.ndarray:
+        return self._concat()[0]
+
+    @property
+    def states(self) -> np.ndarray:
+        return self._concat()[1]
+
+    @property
+    def zones(self) -> list[ZoneSide]:
+        return self._concat()[2]
+
+    def __len__(self) -> int:
+        return sum(len(bt) for bt, _, _ in self._blocks)
+
+    def __getitem__(self, i: int) -> tuple[float, np.ndarray, ZoneSide]:
+        t, states, zones = self._concat()
+        return float(t[i]), states[i], zones[i]
+
+    def __iter__(self):
+        t, states, zones = self._concat()
+        return zip(t.tolist(), states, zones)
+
+
 @dataclass
 class OrbitTrace:
     """Time-stamped trajectory with zone labels and plane-crossing events."""
 
-    samples: list[tuple[float, np.ndarray, ZoneSide]] = field(default_factory=list)
+    samples: TraceSamples = field(default_factory=TraceSamples)
     crossings: list[Crossing] = field(default_factory=list)
     closed: bool = False
     closure_residual: float | None = None
@@ -58,7 +112,12 @@ def rk4_flow(matrix, x0, t_end: float, step: float):
     """Classic fixed-step fourth-order integration of xdot = A x.
 
     For a constant matrix the four stages collapse to one constant step
-    matrix I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24 applied per step.
+    matrix S = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24, and state i is
+    S^i x0.  The states are filled in blocks of b = ``_RK4_BLOCK`` (or n+1 if
+    fewer): the powers S^0 ... S^(b-1) are built once by doubling (S^k
+    times the first k powers gives the next k), each block is those powers
+    applied to the block's first state, and S^b carries that state to the
+    next block.
     Returns ``(times, states)`` with states of shape (n+1, 3).  Cross-check
     only; never the primary propagator.
     """
@@ -68,12 +127,28 @@ def rk4_flow(matrix, x0, t_end: float, step: float):
     n = max(1, int(round(t_end / step)))
     ha = step * a
     s = np.eye(3) + ha + ha @ ha / 2.0 + ha @ ha @ ha / 6.0 + ha @ ha @ ha @ ha / 24.0
+    # Powers and block-to-block states are carried in extended precision
+    # where the platform has it, so their rounding stays well below that of
+    # the per-step recurrence.
+    s_ext = s.astype(np.longdouble)
+    b = min(_RK4_BLOCK, n + 1)
+    pows = np.empty((b, 3, 3), dtype=np.longdouble)
+    pows[0] = np.eye(3)
+    k = 1
+    while k < b:
+        j = min(k, b - k)
+        pows[k : k + j] = (pows[k - 1] @ s_ext) @ pows[:j]
+        k += j
+    s_block = pows[-1] @ s_ext
+    stacked = pows.reshape(3 * b, 3).astype(float)
     times = np.arange(n + 1) * step
     states = np.empty((n + 1, 3))
-    x = np.asarray(x0, dtype=float).copy()
-    for i in range(n + 1):
-        states[i] = x
-        x = s @ x
+    x = np.asarray(x0, dtype=float).astype(np.longdouble)
+    for i in range(0, n + 1, b):
+        if i:
+            x = s_block @ x
+        m = min(b, n + 1 - i)
+        states[i : i + m] = (stacked[: 3 * m] @ x.astype(float)).reshape(m, 3)
     return times, states
 
 
@@ -105,11 +180,10 @@ def _check_norm(trace: OrbitTrace, n: float, t: float) -> float:
 def _sample_dwell(
     trace: OrbitTrace, eigen, x, zone: ZoneSide, t_start: float, duration: float, n: int
 ) -> None:
-    """Append ``n`` states of the dwell from ``x`` at ``t_start``, evenly
-    spaced over [0, duration)."""
+    """Add the block of ``n`` states of the dwell from ``x`` at ``t_start``,
+    evenly spaced over [0, duration)."""
     ts = np.linspace(0.0, duration, n, endpoint=False)
-    states = zone_flow(eigen, x, ts)
-    trace.samples.extend((t_start + float(t), states[i].copy(), zone) for i, t in enumerate(ts))
+    trace.samples.add_block(t_start + ts, zone_flow(eigen, x, ts), zone)
 
 
 def trace_orbit(
@@ -148,7 +222,7 @@ def trace_orbit(
 
     zone = _zone_of_state(x)
     if zone is None:
-        trace.samples.append((0.0, x.copy(), ZoneSide.PLUS))
+        trace.samples.add_block(np.zeros(1), x[None, :], ZoneSide.PLUS)
         trace.termination = "tangency"
         trace.note = "start lies on the tangency line y = 0"
         return trace
@@ -163,7 +237,7 @@ def trace_orbit(
             return trace
         eigen = _zone_of(system, zone).eigen
         chunk = tau_hat(eigen.gamma).tau / eigen.beta
-        coeffs = flow_coefficients(eigen, x)
+        coeffs = tuple(flow_coefficients(eigen, x).tolist())  # floats for the scalar x1_at
         inside_positive = zone is ZoneSide.PLUS
         t_cross = math.inf
         t_off = 0.0
@@ -201,7 +275,7 @@ def trace_orbit(
         t_global += t_cross
         norm_cross = _check_norm(trace, math.hypot(*point), t_global)
         if abs(point[1]) <= TANGENCY_RTOL * norm_cross:
-            trace.samples.append((t_global, point.copy(), zone))
+            trace.samples.add_block(np.array([t_global]), point[None, :], zone)
             trace.termination = "tangency"
             trace.note = f"crossing at t={t_global!r} grazes the tangency line y = 0"
             return trace
@@ -245,12 +319,14 @@ def trace_summary(trace: OrbitTrace) -> dict:
 def write_trace_csv(trace: OrbitTrace, path) -> None:
     """Columns t,x1,y,z,zone at 17 significant digits; crossings appended as
     comment lines."""
+    samples = trace.samples
+    rows = np.column_stack([samples.t, samples.states]).tolist()
     with open(path, "w") as fh:
         fh.write("t,x1,y,z,zone\n")
-        for t, state, zone in trace.samples:
-            fh.write(
-                f"{t:.17g},{state[0]:.17g},{state[1]:.17g},{state[2]:.17g},{zone.value}\n"
-            )
+        fh.writelines(
+            f"{t:.17g},{x1:.17g},{y:.17g},{z:.17g},{zone.value}\n"
+            for (t, x1, y, z), zone in zip(rows, samples.zones)
+        )
         for cr in trace.crossings:
             fh.write(
                 f"# crossing t={cr.t:.17g} x=0,y={cr.point[1]:.17g},"

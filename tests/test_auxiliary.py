@@ -125,7 +125,8 @@ def test_tau_hat_scaled_residual_for_strong_gamma():
 def test_tau_hat_matches_high_precision_root():
     # the 60-digit zero of phi(g, .) e^{-g t} = e^{-g t} - cos(t) + g sin(t) on (pi, 2 pi)
     with mpmath.workdps(60):
-        for g in [1e-3, 0.1, 1.0, 10.0, 100.0, 150.0, 230.0, 400.0, 1000.0]:
+        # past |g| ~ 4.6e3 the roots are certified by a sign change
+        for g in [1e-3, 0.1, 1.0, 10.0, 100.0, 150.0, 230.0, 400.0, 1000.0, 5e3, 1e4, 1e6]:
             t = tau_hat(g).tau
             gm = mpmath.mpf(g)
             exact = mpmath.findroot(
@@ -137,11 +138,35 @@ def test_tau_hat_matches_high_precision_root():
             assert abs(mpmath.mpf(t) - exact) <= math.ulp(t), g
 
 
+@pytest.mark.parametrize("g", [1e-31, 1e-32, 1e-300, 1e17, 1e20])
+def test_tau_hat_inside_bracket_at_extreme_gamma(g):
+    # the zero lies within about one ulp of an end of (pi, 2 pi): near
+    # 2 pi - sqrt(4 pi g) for tiny g, at pi + atan(1/g) up to e^{-g pi} for
+    # huge g; the root is the float next to that end, on the inside, and no
+    # float further inside is closer to the zero
+    t = tau_hat(g).tau
+    end = 2.0 * PI if g < 1.0 else PI
+    assert t == math.nextafter(end, 1.5 * PI)
+    assert tau_hat(-g).tau == t
+    with mpmath.workdps(60):
+        gm = mpmath.mpf(g)
+        if g < 1.0:
+            exact = 2 * mpmath.pi - mpmath.sqrt(4 * mpmath.pi * gm)
+        else:
+            exact = mpmath.pi + mpmath.atan(1 / gm)
+        inner = math.nextafter(t, 1.5 * PI)
+        assert abs(mpmath.mpf(t) - exact) < abs(mpmath.mpf(inner) - exact)
+
+
 def test_phi_root_rejects_non_roots():
     with pytest.raises(ValueError):
         PhiRoot(gamma=1.0, tau=5.0)
     with pytest.raises(ValueError):
         PhiRoot(gamma=0.0, tau=PI)
+    # two ulps past the root: no sign change across the float neighbours
+    t = tau_hat(1e4).tau
+    with pytest.raises(ValueError):
+        PhiRoot(gamma=1e4, tau=math.nextafter(math.nextafter(t, 4.0), 4.0))
 
 
 def test_g_is_one_for_zero_gamma():

@@ -131,6 +131,22 @@ def test_analyze_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_analyze_trivial_cone_past_float_range(tmp_path, capsys):
+    # equal lambdas: the trivial cone's radial factor exp(800 pi) exceeds
+    # the float range and reads as +inf
+    zone = {"lambda": 300, "alpha": 400, "beta": 1}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"minus": zone, "plus": zone}))
+    report_path = tmp_path / "report.json"
+    assert main(["analyze", "--system", str(path), "--json", str(report_path)]) == 0
+    capsys.readouterr()
+    cones = json.loads(report_path.read_text())["cones"]
+    trivial = [c for c in cones if c["kind"] == "Trivial"]
+    assert len(trivial) == 1
+    assert trivial[0]["dynamics"] == "UnstableFocus"
+    assert trivial[0]["return_ratio"] == math.inf
+
+
 def test_simulate_subcommand(tmp_path, capsys):
     sys_path = _write_ex1(tmp_path)
     csv_path = tmp_path / "trace.csv"
@@ -179,7 +195,7 @@ def test_simulate_reports_origin_collapse(tmp_path, capsys):
 
 
 def test_console_entry_point_runs():
-    for gamma in ["1", "230"]:
+    for gamma in ["1", "230", "5000"]:
         proc = subprocess.run(
             [sys.executable, "-m", "pwlcones.cli", "tau-hat", "--gamma", gamma],
             capture_output=True,

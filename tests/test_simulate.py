@@ -1,6 +1,7 @@
 """Orbit tracing, closure measurement, and the fixed-step oracle."""
 
 import csv
+import hashlib
 import io
 import math
 
@@ -34,6 +35,31 @@ def test_rk4_constant_when_matrix_zero():
     times, states = rk4_flow(np.zeros((3, 3)), [1.0, -2.0, 0.5], 1.0, 1e-2)
     assert np.allclose(states, states[0], atol=0.0)
     assert times[-1] == pytest.approx(1.0)
+
+
+def _rk4_per_step(matrix, x0, n, step):
+    # the plain recurrence: one product with the step matrix per state
+    ha = step * np.asarray(matrix, dtype=float)
+    s = np.eye(3) + ha + ha @ ha / 2.0 + ha @ ha @ ha / 6.0 + ha @ ha @ ha @ ha / 24.0
+    states = np.empty((n + 1, 3))
+    x = np.asarray(x0, dtype=float)
+    for i in range(n + 1):
+        states[i] = x
+        x = s @ x
+    return states
+
+
+@pytest.mark.parametrize("n", [1, 2, 511, 512, 513, 2000, 100001])
+def test_rk4_blocks_match_per_step_loop(ex1, n):
+    step = 1e-5
+    for matrix in (np.zeros((3, 3)), ex1.minus.matrix, ex1.plus.matrix):
+        times, states = rk4_flow(matrix, X0_REF, n * step, step)
+        ref = _rk4_per_step(matrix, X0_REF, n, step)
+        assert states.shape == ref.shape == (n + 1, 3)
+        assert np.array_equal(times, np.arange(n + 1) * step)
+        assert np.array_equal(states[:2], ref[:2])
+        gap = np.linalg.norm(states - ref, axis=1) / np.linalg.norm(ref, axis=1)
+        assert gap.max() <= 1e-10
 
 
 def test_rk4_matches_closed_form_on_reference_zone(ex1):
@@ -222,7 +248,38 @@ def test_trace_summary_and_csv_roundtrip(ex1, tmp_path):
     assert rows[0][4] == zone0.value
 
 
-def test_trace_norm_guard_past_sum_of_squares_overflow():
+@pytest.mark.parametrize(
+    "crossings, per_dwell, digest",
+    [
+        (2, 25, "6c19bcf246386cd9b44565fe7cebf67e7a8a6ea12f8c3736f448641e631a810a"),
+        (16, 400, "943c1f8178eb60d2f6e645a3449bfbf1d4d031c19566e14fa72187f18c4995ad"),
+    ],
+)
+def test_trace_csv_bytes_pinned(ex1, tmp_path, crossings, per_dwell, digest):
+    # the digests of the CSV written when samples were stored row by row
+    trace = trace_orbit(ex1, X0_REF, max_crossings=crossings, samples_per_dwell=per_dwell)
+    assert len(trace.samples) == crossings * per_dwell
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_trace_sample_columns(ex1):
+    trace = trace_orbit(ex1, X0_REF, max_crossings=2, samples_per_dwell=30)
+    samples = trace.samples
+    assert samples.t.shape == (60,) and samples.states.shape == (60, 3)
+    assert samples.zones == [ZoneSide.MINUS] * 30 + [ZoneSide.PLUS] * 30
+    assert samples.t[30] == trace.crossings[0].t
+    assert np.allclose(samples.states[30], trace.crossings[0].point, rtol=1e-12, atol=1e-12)
+    for i, (t, state, zone) in enumerate(samples):
+        assert (t, zone) == (samples[i][0], samples[i][2]) == (samples.t[i], samples.zones[i])
+        assert type(t) is float
+        assert np.array_equal(state, samples.states[i])
+    with pytest.raises(ValueError):
+        samples.states[0, 0] = 1.0  # the columns are read-only
+
+
+def _repelling_cone_orbit():
     # the cone repels transversally (multiplier ~ 576): the orbit shot from its
     # rounded ray soon misses the plane for good and grows through norms near
     # 1e154, where a sum of squares overflows, on to the divergence guard
@@ -232,9 +289,35 @@ def test_trace_norm_guard_past_sum_of_squares_overflow():
     cone = pw.analyze_system(out.system).cones[0]
     with pytest.raises(Diverged) as excinfo:
         trace_orbit(out.system, [0.0, 1.0, cone.u0], max_crossings=16)
-    trace = excinfo.value.trace
+    return excinfo.value.trace
+
+
+def test_trace_norm_guard_past_sum_of_squares_overflow():
+    trace = _repelling_cone_orbit()
     assert trace.termination == "diverged"
     assert len(trace.crossings) < 16
+
+
+def test_partial_traces_export(tmp_path):
+    trace = _repelling_cone_orbit()
+    path = tmp_path / "diverged.csv"
+    write_trace_csv(trace, path)
+    lines = path.read_text().splitlines()
+    rows = [ln for ln in lines[1:] if not ln.startswith("#")]
+    assert len(rows) == len(trace.samples) > 0
+    assert sum(ln.startswith("# crossing ") for ln in lines) == len(trace.crossings)
+    t, state, zone = trace.samples[len(trace.samples) - 1]
+    assert rows[-1] == f"{t:.17g},{state[0]:.17g},{state[1]:.17g},{state[2]:.17g},{zone.value}"
+    # an orbit that reaches the origin before its first crossing has no samples
+    decay = PwlSystem.from_eigen(
+        minus=EigenTriple(lam=-0.5, alpha=-2.0, beta=1.0),
+        plus=EigenTriple(lam=-0.5, alpha=-1.0, beta=1.0),
+    )
+    with pytest.raises(OriginReached) as excinfo:
+        trace_orbit(decay, -invariant_line(decay.minus.eigen), t_max=1e5)
+    assert len(excinfo.value.trace.samples) == 0
+    write_trace_csv(excinfo.value.trace, path)
+    assert path.read_text() == "t,x1,y,z,zone\n"
 
 
 @pytest.mark.parametrize("scale", [1e-4, 1e3])
