@@ -18,6 +18,7 @@ exponential) carries the radial growth of one passage.  Useful identities:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -30,6 +31,7 @@ from .errors import DomainError
 SERIES_CUTOFF = 1e-4
 
 ROOT_RESIDUAL_TOL = 1e-12
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def _scalar_or_array(value):
@@ -81,19 +83,37 @@ def phi_deriv(gamma, tau):
 
 def phi_scaled(gamma, tau):
     """phi(gamma, tau) * exp(-gamma * tau), evaluated without the exp(gamma*tau)
-    overflow of the plain kernel:
+    overflow of the plain kernel.  Each element takes one of three branches,
+    and only that branch is evaluated:
 
-        expm1(-gamma*tau) + 2 sin^2(tau/2) + gamma sin(tau)
+    * -gamma*tau > log(DBL_MAX): +inf, the value's float limit (hence zero
+      slope contribution), without calling expm1;
+    * |tau| < SERIES_CUTOFF: the series of phi times exp(-gamma*tau);
+    * otherwise the direct form
+      expm1(-gamma*tau) + 2 sin^2(tau/2) + gamma sin(tau),
+      finite for arbitrarily large positive gamma*tau.
 
-    This is the natural denominator of the passage slope formulas; it stays
-    finite for arbitrarily large positive gamma*tau (and degrades gracefully
-    to +inf, hence zero slope contribution, for very negative gamma*tau).
+    Scalar arguments return a float, arrays an array of their broadcast shape.
     """
     g = np.asarray(gamma, dtype=float)
     t = np.asarray(tau, dtype=float)
-    direct = np.expm1(-g * t) + 2.0 * np.sin(0.5 * t) ** 2 + g * np.sin(t)
-    series = _phi_series(g, t) * np.exp(-g * t)
-    return _scalar_or_array(np.where(np.abs(t) < SERIES_CUTOFF, series, direct))
+    if g.ndim == 0 and t.ndim == 0:
+        x = -g * t
+        if x > _LOG_FLOAT_MAX:
+            return math.inf
+        if abs(t) < SERIES_CUTOFF:
+            return float(_phi_series(g, t) * np.exp(x))
+        return float(np.expm1(x) + 2.0 * np.sin(0.5 * t) ** 2 + g * np.sin(t))
+    g, t = np.broadcast_arrays(g, t)
+    x = -g * t
+    out = np.full(x.shape, math.inf)
+    in_range = ~(x > _LOG_FLOAT_MAX)
+    small = in_range & (np.abs(t) < SERIES_CUTOFF)
+    direct = in_range & ~small
+    out[small] = _phi_series(g[small], t[small]) * np.exp(x[small])
+    gd, td = g[direct], t[direct]
+    out[direct] = np.expm1(x[direct]) + 2.0 * np.sin(0.5 * td) ** 2 + gd * np.sin(td)
+    return out
 
 
 def _bracket_root(f, lo: float, hi: float, flo: float, fprime=None, tol: float = 0.0) -> float:

@@ -15,13 +15,12 @@ the radial dynamics on every cone found.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .auxiliary import check_phase, log_g, tau_hat
+from .auxiliary import _LOG_FLOAT_MAX, check_phase, log_g, tau_hat
 from .errors import NotApplicable
 from .halfmaps import (
     entry_slope,
@@ -42,7 +41,6 @@ LAM_MATCH_RTOL = 1e-9
 _GRID_INSET = 1e-6
 _NEWTON_ITERS = 60
 _MAX_HALVINGS = 50
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 class ConeKind(Enum):
@@ -318,6 +316,24 @@ def _slope_scale(system: PwlSystem) -> float:
     )
 
 
+def _singular_values(a: float, b: float, c: float, d: float) -> tuple[float, float]:
+    """(sigma_max, sigma_min) of [[a, b], [c, d]] in closed form: with
+    q = hypot((a+d)/2, (c-b)/2) and r = hypot((a-d)/2, (c+b)/2) they are
+    q + r and |q - r|."""
+    q = math.hypot(0.5 * (a + d), 0.5 * (c - b))
+    r = math.hypot(0.5 * (a - d), 0.5 * (c + b))
+    return q + r, abs(q - r)
+
+
+def _cramer_step(a: float, b: float, c: float, d: float, f0: float, f1: float):
+    """Solution of [[a, b], [c, d]] x = (f0, f1) by Cramer's rule; None when
+    the determinant is exactly zero."""
+    det = a * d - b * c
+    if det == 0.0:
+        return None
+    return (f0 * d - b * f1) / det, (a * f1 - c * f0) / det
+
+
 def _newton_refine(system, tm, tp, bounds, target):
     em, ep = system.minus.eigen, system.plus.eigen
     (lo_m, hi_m, lo_p, hi_p) = bounds
@@ -335,20 +351,19 @@ def _newton_refine(system, tm, tp, bounds, target):
     for _ in range(_NEWTON_ITERS):
         if not np.all(np.isfinite(f)):
             break
-        jac = np.array(
-            [
-                [-entry_slope_deriv(em, tm), exit_slope_deriv(ep, tp)],
-                [-exit_slope_deriv(em, tm), entry_slope_deriv(ep, tp)],
-            ]
+        jac = (
+            -entry_slope_deriv(em, tm),
+            exit_slope_deriv(ep, tp),
+            -exit_slope_deriv(em, tm),
+            entry_slope_deriv(ep, tp),
         )
-        if not np.all(np.isfinite(jac)):
+        if not all(map(math.isfinite, jac)):
             break
-        svals = np.linalg.svd(jac, compute_uv=False)
-        if svals[0] > 0.0:
-            smin_ratio = float(svals[1] / svals[0])
-        try:
-            step = np.linalg.solve(jac, f)
-        except np.linalg.LinAlgError:
+        smax, smin = _singular_values(*jac)
+        if smax > 0.0:
+            smin_ratio = smin / smax
+        step = _cramer_step(*jac, float(f[0]), float(f[1]))
+        if step is None:
             break
         size = float(np.max(np.abs(f)))
         scale = 1.0
@@ -370,6 +385,28 @@ def _newton_refine(system, tm, tp, bounds, target):
         if float(np.max(np.abs(f))) < target * 1e-3:
             break
     return tm, tp, float(np.max(np.abs(f))), smin_ratio
+
+
+def _straddles(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Grid cells (i, j) on whose four corners the residual v[j'] - u[i']
+    (i' in {i, i+1}, j' in {j, j+1}) does not keep one sign.
+
+    The corners are all positive exactly when min(v[j:j+2]) > max(u[i:i+2]),
+    all negative when max(v[j:j+2]) < min(u[i:i+2]), and all exactly zero when
+    the four values are one finite number, so the scan compares the ends of
+    these intervals instead of forming the residual on the grid.  A NaN
+    corner, or an inf - inf one (a shared infinite value), fails all three
+    tests, so its cell straddles.
+    """
+    lo_u, hi_u = np.minimum(u[:-1], u[1:]), np.maximum(u[:-1], u[1:])
+    lo_v, hi_v = np.minimum(v[:-1], v[1:]), np.maximum(v[:-1], v[1:])
+    point_u = np.where((lo_u == hi_u) & np.isfinite(lo_u), lo_u, np.nan)
+    point_v = np.where(lo_v == hi_v, lo_v, np.nan)
+    return ~(
+        (lo_v[None, :] > hi_u[:, None])
+        | (hi_v[None, :] < lo_u[:, None])
+        | (point_v[None, :] == point_u[:, None])
+    )
 
 
 def solve_invariant_cones(
@@ -408,15 +445,7 @@ def solve_invariant_cones(
         u1 = exit_slope(em, tms)
         v1 = entry_slope(ep, tps)
         v2 = exit_slope(ep, tps)
-        ra = v2[None, :] - u0[:, None]
-        rb = v1[None, :] - u1[:, None]
-        sa, sb = np.sign(ra), np.sign(rb)
-
-        def mixed(s):
-            ref = s[:-1, :-1]
-            return ~((ref == s[1:, :-1]) & (ref == s[:-1, 1:]) & (ref == s[1:, 1:]))
-
-        cells = np.nonzero(mixed(sa) & mixed(sb))
+        cells = np.nonzero(_straddles(u0, v2) & _straddles(u1, v1))
         target = residual_target * _slope_scale(system)
         bounds = (1e-12 * thm, thm * (1.0 - 1e-12), 1e-12 * thp, thp * (1.0 - 1e-12))
         roots: list[tuple[float, float]] = []

@@ -31,6 +31,10 @@ BETA_FLOOR = 1e-12
 CONTINUITY_ATOL = 1e-12   # scaled by the pair's max-norm
 OBSERVABILITY_RTOL = 1e-12
 EIGENVECTOR_RTOL = 1e-10
+# canonicalize forms the characteristic coefficients of the raw pair itself
+# while its entries are below 2^300, so that sums of products of three stay
+# far inside the float range
+_RAW_COEFFS_EXP_MAX = 300
 _CUBIC_NEWTON_STEPS = 6
 
 
@@ -270,6 +274,15 @@ def canonicalize(raw_a_plus, raw_a_minus) -> PwlSystem:
     [e1; e1 A; e1 A^2], so it exists precisely when the pair is observable;
     continuity (shared second and third columns) makes the single T valid
     for both zones, which is verified numerically before returning.
+
+    Scaling both matrices by s scales time by 1/s and leaves the cones
+    unchanged, but the rows of the observability matrix scale like 1, s and
+    s^2.  So after the continuity check the pair is divided by 2^k, k the
+    binary exponent of its largest entry, before the observability and
+    transform checks.  For entries of 2^300 and above the coefficients
+    (delta, m, d) of the scaled pair are multiplied back by 2^k, 2^2k and
+    2^3k; both steps are exact, and coefficients beyond the float range
+    raise MalformedInput.
     """
     ap = np.asarray(raw_a_plus, dtype=float)
     am = np.asarray(raw_a_minus, dtype=float)
@@ -281,29 +294,50 @@ def canonicalize(raw_a_plus, raw_a_minus) -> PwlSystem:
             "raw matrices must share their second and third columns "
             f"(max deviation {np.abs(ap[:, 1:] - am[:, 1:]).max():.3e})"
         )
+    k = math.frexp(max(float(np.abs(ap).max()), float(np.abs(am).max())))[1]
+    sp, sm = np.ldexp(ap, -k), np.ldexp(am, -k)
     e1 = np.array([1.0, 0.0, 0.0])
-    obs = np.vstack([e1, am[0, :], (am @ am)[0, :]])
+    obs = np.vstack([e1, sm[0, :], (sm @ sm)[0, :]])
     svals = np.linalg.svd(obs, compute_uv=False)
     if svals[-1] <= OBSERVABILITY_RTOL * svals[0]:
         raise NotObservable("observability matrix of the minus zone is singular")
 
-    cm = _char_coeffs(am)
-    cp = _char_coeffs(ap)
+    cm = _char_coeffs(sm)
+    cp = _char_coeffs(sp)
     t = np.vstack(
         [
             e1,
-            cm.delta * e1 - am[0, :],
-            cm.m * e1 - cm.delta * am[0, :] + (am @ am)[0, :],
+            cm.delta * e1 - sm[0, :],
+            cm.m * e1 - cm.delta * sm[0, :] + (sm @ sm)[0, :],
         ]
     )
     t_inv = np.linalg.inv(t)
-    for raw, coeffs in ((am, cm), (ap, cp)):
-        resid = np.abs(t @ raw @ t_inv - companion_matrix(coeffs)).max()
+    for scaled, coeffs in ((sm, cm), (sp, cp)):
+        resid = np.abs(t @ scaled @ t_inv - companion_matrix(coeffs)).max()
         if resid > 1e-6 * max(1.0, abs(coeffs.delta), abs(coeffs.m), abs(coeffs.d)):
             raise NotContinuous(
                 f"pair does not admit a shared canonical transform (residual {resid:.3e})"
             )
-    return PwlSystem.from_coeffs(minus=cm, plus=cp)
+    if k > _RAW_COEFFS_EXP_MAX:
+        return PwlSystem.from_coeffs(minus=_unscaled(cm, k), plus=_unscaled(cp, k))
+    # numpy's det is exp(log|det|), which the scaling does not commute with, so
+    # wherever the raw pair's coefficients cannot overflow they come from it
+    return PwlSystem.from_coeffs(minus=_char_coeffs(am), plus=_char_coeffs(ap))
+
+
+def _unscaled(coeffs: CanonicalCoeffs, k: int) -> CanonicalCoeffs:
+    """Coefficients of the matrix 2^k A from those of A: (delta, m, d) times
+    (2^k, 2^2k, 2^3k), +/-inf where the product leaves the float range."""
+
+    def ldexp(x: float, e: int) -> float:
+        try:
+            return math.ldexp(x, e)
+        except OverflowError:
+            return math.copysign(math.inf, x)
+
+    return CanonicalCoeffs(
+        delta=ldexp(coeffs.delta, k), m=ldexp(coeffs.m, 2 * k), d=ldexp(coeffs.d, 3 * k)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from pwlcones import DomainError, PhiRoot, g_ratio, phi, phi_deriv, tau_hat
-from pwlcones.auxiliary import SERIES_CUTOFF, _phi_closed, _phi_series
+from pwlcones import DomainError, PhiRoot, g_ratio, phi, phi_deriv, phi_scaled, tau_hat
+from pwlcones.auxiliary import _LOG_FLOAT_MAX, SERIES_CUTOFF, _phi_closed, _phi_series
 
 PI = math.pi
 
@@ -79,6 +79,42 @@ def test_phi_scaled_identity():
     )
 
 
+def _around(x):
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+def test_phi_scaled_scalar_and_vector_agree_bitwise():
+    # a grid straddling the series switchover and, for negative gamma, the
+    # overflow edge -gamma*tau = log(DBL_MAX)
+    gs = [-1e3, -300.0, -7.5, -1.0, -1e-9, 0.0, 1e-9, 0.5, 3.0, 230.0, 1e3]
+    ts = [-2.0, -SERIES_CUTOFF, -1e-7, 0.0, 1e-7, 0.3, 1.0, 2.5, 4.0, 6.2]
+    ts += _around(SERIES_CUTOFF) + [-t for t in _around(SERIES_CUTOFF)]
+    for g in gs:
+        row = list(ts)
+        if g < 0.0:
+            row += _around(_LOG_FLOAT_MAX / -g)
+        vector = phi_scaled(g, np.array(row))
+        scalar = np.array([phi_scaled(g, t) for t in row])
+        assert all(isinstance(phi_scaled(g, t), float) for t in row)
+        assert np.array_equal(vector, scalar), g
+        grid = phi_scaled(np.full(len(row), g), np.array(row))
+        assert np.array_equal(grid, scalar), g
+        over = -g * np.array(row) > _LOG_FLOAT_MAX
+        assert np.all(np.isinf(vector[over])) and np.all(np.isfinite(vector[~over])), g
+
+
+def test_phi_scaled_reaches_inf_without_overflow():
+    # -gamma*tau = 1200 puts e^{-gamma tau} beyond the float range: the value
+    # is +inf, and the suite turns any overflow warning into an error
+    assert phi_scaled(-300.0, 4.0) == math.inf
+    assert phi_scaled(-1e8, 5e-5) == math.inf  # past the edge inside the series range
+    out = phi_scaled(-300.0, np.array([1e-5, 2.0, 2.5, 4.0]))
+    assert np.isfinite(out[:2]).all() and np.isinf(out[2:]).all()
+    # huge positive gamma*tau never evaluates the series, whose g^3 overflows
+    assert math.isfinite(phi_scaled(1e62, 4.0))
+    assert math.isfinite(phi_scaled(1e100, np.array([3.2, 4.0]))[0])
+
+
 def test_tau_hat_zero_gamma_exact():
     root = tau_hat(0.0)
     assert root.tau == 2.0 * PI
@@ -138,7 +174,7 @@ def test_tau_hat_matches_high_precision_root():
             assert abs(mpmath.mpf(t) - exact) <= math.ulp(t), g
 
 
-@pytest.mark.parametrize("g", [1e-31, 1e-32, 1e-300, 1e17, 1e20])
+@pytest.mark.parametrize("g", [1e-31, 1e-32, 1e-300, 1e17, 1e20, 1e62, 1e100])
 def test_tau_hat_inside_bracket_at_extreme_gamma(g):
     # the zero lies within about one ulp of an end of (pi, 2 pi): near
     # 2 pi - sqrt(4 pi g) for tiny g, at pi + atan(1/g) up to e^{-g pi} for

@@ -147,6 +147,20 @@ def test_analyze_trivial_cone_past_float_range(tmp_path, capsys):
     assert trivial[0]["return_ratio"] == math.inf
 
 
+def test_analyze_strong_shape_spec_without_warning(tmp_path, capsys):
+    # gamma = 5001 in both zones: e^{gamma tau} leaves the float range in
+    # both branches of the kernel, which must read it as +inf without warning
+    zone = {"lambda": -1, "alpha": 5000, "beta": 1}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"minus": zone, "plus": zone}))
+    report_path = tmp_path / "report.json"
+    assert main(["analyze", "--system", str(path), "--json", str(report_path)]) == 0
+    capsys.readouterr()
+    cones = json.loads(report_path.read_text())["cones"]
+    assert [c["kind"] for c in cones] == ["Trivial"]
+    assert cones[0]["return_ratio"] == math.inf
+
+
 def test_simulate_subcommand(tmp_path, capsys):
     sys_path = _write_ex1(tmp_path)
     csv_path = tmp_path / "trace.csv"
@@ -207,6 +221,8 @@ def test_console_entry_point_runs():
 
 _EX1_EIGEN = {"lambda": -10.3322, "alpha": -7.1060, "beta": 3.2259}
 _EX1_MATRIX = [[-24.5442, -1.0, 0.0], [207.7430, 0.0, -1.0], [-629.2483, 0.0, 0.0]]
+# the pair scaled by 1e160: its coefficients m and d leave the float range
+_HUGE_MATRIX = [[1e160 * v for v in row] for row in _EX1_MATRIX]
 
 
 @pytest.mark.parametrize(
@@ -219,11 +235,24 @@ _EX1_MATRIX = [[-24.5442, -1.0, 0.0], [207.7430, 0.0, -1.0], [-629.2483, 0.0, 0.
         # finite numbers whose discriminant or expanded coefficients overflow
         {"minus": {"delta": 1e308, "m": 1.0, "d": 1.0}, "plus": {"delta": 1, "m": 1, "d": 1}},
         {"minus": {**_EX1_EIGEN, "lambda": 1e308}, "plus": _EX1_EIGEN},
+        {"A_minus": _HUGE_MATRIX, "A_plus": _HUGE_MATRIX},
     ],
-    ids=["nan-lambda", "inf-lambda", "nan-delta", "nan-matrix", "huge-delta", "huge-lambda"],
+    ids=[
+        "nan-lambda", "inf-lambda", "nan-delta", "nan-matrix", "huge-delta", "huge-lambda",
+        "huge-matrix",
+    ],
 )
 def test_analyze_rejects_non_finite_spec(doc, tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(doc))  # writes NaN / Infinity, which json.loads accepts
     assert main(["analyze", "--system", str(path)]) == 3
     assert "finite" in capsys.readouterr().err
+
+
+def test_analyze_raw_matrix_entry_past_float_range(tmp_path, capsys):
+    # an entry of 1e160 squares past the float range: exit 3, no overflow warning
+    path = tmp_path / "spec.json"
+    a_minus = [[1e160, -1.0, 0.0], *_EX1_MATRIX[1:]]
+    path.write_text(json.dumps({"A_minus": a_minus, "A_plus": _EX1_MATRIX}))
+    assert main(["analyze", "--system", str(path)]) == 3
+    capsys.readouterr()

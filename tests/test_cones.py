@@ -24,8 +24,11 @@ from pwlcones import (
     one_zone_cone_check,
     solve_invariant_cones,
     synthesize,
+    tau_hat,
     zone_flow,
 )
+from pwlcones.cones import _cramer_step, _singular_values, _straddles
+from pwlcones.halfmaps import entry_slope, exit_slope
 from conftest import random_focus_eigen
 
 PI = math.pi
@@ -349,3 +352,74 @@ def test_one_zone_witness_limits():
     assert one_zone_cone_check(EigenTriple(lam=400.0, alpha=-200.0, beta=1.0)).witness_residual == (
         0.0
     )
+
+
+def _sign_scan_cells(u, v):
+    # the grid scan as the solver once wrote it: the cell straddles when
+    # np.sign of the residual v[j] - u[i] differs between its four corners
+    s = np.sign(v[None, :] - u[:, None])
+    ref = s[:-1, :-1]
+    return ~((ref == s[1:, :-1]) & (ref == s[:-1, 1:]) & (ref == s[1:, 1:]))
+
+
+def _grid_slopes(system):
+    em, ep = system.minus.eigen, system.plus.eigen
+    thm, thp = tau_hat(em.gamma).tau, tau_hat(ep.gamma).tau
+    tms = np.linspace(1e-6 * thm, thm * (1.0 - 1e-6), 256)
+    tps = np.linspace(1e-6 * thp, thp * (1.0 - 1e-6), 256)
+    return (
+        entry_slope(em, tms), exit_slope(em, tms), entry_slope(ep, tps), exit_slope(ep, tps)
+    )
+
+
+def test_interval_scan_matches_sign_scan_on_systems(ex1, ex2):
+    rng = np.random.default_rng(71)
+    systems = [ex1, ex2] + [
+        PwlSystem.from_eigen(minus=random_focus_eigen(rng), plus=random_focus_eigen(rng))
+        for _ in range(50)
+    ]
+    for system in systems:
+        u0, u1, v1, v2 = _grid_slopes(system)
+        for u, v in ((u0, v2), (u1, v1)):
+            assert np.array_equal(_straddles(u, v), _sign_scan_cells(u, v))
+
+
+def test_interval_scan_matches_sign_scan_on_special_values():
+    # exact zeros and ties, signed zeros, NaN, infinities (inf - inf is a NaN
+    # corner) and values whose difference overflows
+    specials = np.array(
+        [0.0, -0.0, 1.0, -1.0, 2.0, 5e-324, math.nan, math.inf, -math.inf, 1e308, -1e308]
+    )
+    rng = np.random.default_rng(72)
+    for _ in range(400):
+        u = rng.choice(specials, size=int(rng.integers(2, 7)))
+        v = rng.choice(specials, size=int(rng.integers(2, 7)))
+        with np.errstate(invalid="ignore", over="ignore"):
+            expected = _sign_scan_cells(u, v)
+        assert np.array_equal(_straddles(u, v), expected), (u, v)
+    # a cell whose four corners are exactly zero does not straddle
+    flat = np.array([3.0, 3.0])
+    assert not _straddles(flat, flat).any()
+    assert _straddles(np.array([math.inf, math.inf]), np.array([math.inf, math.inf])).all()
+
+
+def test_closed_form_singular_values_and_step():
+    rng = np.random.default_rng(73)
+    for _ in range(500):
+        m = rng.normal(size=(2, 2)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        f = rng.normal(size=2)
+        smax, smin = _singular_values(*m.ravel())
+        svals = np.linalg.svd(m, compute_uv=False)
+        assert abs(smax - svals[0]) <= 1e-13 * svals[0]
+        assert abs(smin - svals[1]) <= 1e-13 * svals[0]
+        step = np.array(_cramer_step(*m.ravel(), *f))
+        ref = np.linalg.solve(m, f)
+        assert np.max(np.abs(step - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # singular: the ratio is zero and there is no step, where LAPACK finds an
+    # exactly zero pivot
+    singular = np.array([[1.0, 2.0], [2.0, 4.0]])
+    smax, smin = _singular_values(*singular.ravel())
+    assert smax == pytest.approx(5.0, rel=1e-15) and smin == 0.0
+    assert _cramer_step(*singular.ravel(), 1.0, 1.0) is None
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(singular, [1.0, 1.0])

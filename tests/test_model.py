@@ -6,6 +6,7 @@ import pytest
 
 from pwlcones import (
     CanonicalCoeffs,
+    ConeKind,
     EigenTriple,
     MalformedInput,
     NotContinuous,
@@ -18,6 +19,7 @@ from pwlcones import (
     eigen_from_coeffs,
     focus_plane,
     invariant_line,
+    solve_invariant_cones,
     system_from_json,
     system_to_json,
 )
@@ -230,6 +232,21 @@ def test_canonicalize_reference_zone_choice_is_immaterial(ex1):
     swapped = canonicalize(raw_minus, raw_plus)
     assert np.abs(np.asarray(direct.minus.matrix) - np.asarray(swapped.plus.matrix)).max() < 1e-9 * 630
     assert np.abs(np.asarray(direct.plus.matrix) - np.asarray(swapped.minus.matrix)).max() < 1e-9
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e5, 1e7, 1e20])
+def test_canonicalize_time_scale_invariance(ex1, scale):
+    # scaling both matrices scales time only, so the cones stay put, although
+    # the observability matrix's rows scale like 1, s and s^2
+    def cone(system):
+        (c,) = [c for c in solve_invariant_cones(system).cones if c.kind is ConeKind.NON_TRIVIAL]
+        return c
+
+    am, ap = np.asarray(ex1.minus.matrix), np.asarray(ex1.plus.matrix)
+    ref = cone(canonicalize(ap, am))
+    got = cone(canonicalize(scale * ap, scale * am))
+    assert got.tau_minus == pytest.approx(ref.tau_minus, rel=1e-12)
+    assert got.tau_plus == pytest.approx(ref.tau_plus, rel=1e-12)
 
 
 def test_canonicalize_rejects_unobservable():

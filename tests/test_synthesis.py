@@ -10,6 +10,7 @@ from pwlcones import (
     ConeDynamics,
     ConeKind,
     DomainError,
+    MalformedInput,
     NonPositiveBeta,
     SynthesisInput,
     analyze_system,
@@ -183,6 +184,22 @@ def test_synthesize_analyze_roundtrip():
                 1.0, abs(out.eigen_minus.lam), abs(out.eigen_plus.lam)
             )
     assert plain >= 10
+
+
+@pytest.mark.parametrize(
+    "design",
+    [
+        (230.0, 1.0, 10.0, 2.4331717769006014, 3.1449715310413744),
+        (400.0, 2.0, -5.0, 3.142114685673999, 0.28509222757788727),
+        (-300.0, 1.0, 10.0, 3.141905592229613, 2.982183541137226),
+    ],
+)
+def test_synthesize_past_kernel_float_range_is_malformed(design):
+    # e^{|gamma| tau} leaves the float range: the kernel reads +inf without an
+    # overflow warning, and the rates it implies give non-finite coefficients
+    g, k, c, tm, tp = design
+    with pytest.raises(MalformedInput, match="finite"):
+        synthesize(SynthesisInput(gamma=g, k=k, c=c, tau_minus=tm, tau_plus=tp))
 
 
 def test_balanced_construction_for_zero_offset():
