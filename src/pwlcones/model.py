@@ -31,10 +31,6 @@ BETA_FLOOR = 1e-12
 CONTINUITY_ATOL = 1e-12   # scaled by the pair's max-norm
 OBSERVABILITY_RTOL = 1e-12
 EIGENVECTOR_RTOL = 1e-10
-# canonicalize forms the characteristic coefficients of the raw pair itself
-# while its entries are below 2^300, so that sums of products of three stay
-# far inside the float range
-_RAW_COEFFS_EXP_MAX = 300
 _CUBIC_NEWTON_STEPS = 6
 
 
@@ -279,10 +275,8 @@ def canonicalize(raw_a_plus, raw_a_minus) -> PwlSystem:
     unchanged, but the rows of the observability matrix scale like 1, s and
     s^2.  So after the continuity check the pair is divided by 2^k, k the
     binary exponent of its largest entry, before the observability and
-    transform checks.  For entries of 2^300 and above the coefficients
-    (delta, m, d) of the scaled pair are multiplied back by 2^k, 2^2k and
-    2^3k; both steps are exact, and coefficients beyond the float range
-    raise MalformedInput.
+    transform checks.  The coefficients (delta, m, d) are those of the raw
+    pair; where they leave the float range, MalformedInput is raised.
     """
     ap = np.asarray(raw_a_plus, dtype=float)
     am = np.asarray(raw_a_minus, dtype=float)
@@ -318,26 +312,11 @@ def canonicalize(raw_a_plus, raw_a_minus) -> PwlSystem:
             raise NotContinuous(
                 f"pair does not admit a shared canonical transform (residual {resid:.3e})"
             )
-    if k > _RAW_COEFFS_EXP_MAX:
-        return PwlSystem.from_coeffs(minus=_unscaled(cm, k), plus=_unscaled(cp, k))
-    # numpy's det is exp(log|det|), which the scaling does not commute with, so
-    # wherever the raw pair's coefficients cannot overflow they come from it
-    return PwlSystem.from_coeffs(minus=_char_coeffs(am), plus=_char_coeffs(ap))
-
-
-def _unscaled(coeffs: CanonicalCoeffs, k: int) -> CanonicalCoeffs:
-    """Coefficients of the matrix 2^k A from those of A: (delta, m, d) times
-    (2^k, 2^2k, 2^3k), +/-inf where the product leaves the float range."""
-
-    def ldexp(x: float, e: int) -> float:
-        try:
-            return math.ldexp(x, e)
-        except OverflowError:
-            return math.copysign(math.inf, x)
-
-    return CanonicalCoeffs(
-        delta=ldexp(coeffs.delta, k), m=ldexp(coeffs.m, 2 * k), d=ldexp(coeffs.d, 3 * k)
-    )
+    # the coefficients come from the raw pair: numpy's det is exp(log|det|),
+    # which does not commute with the scaling; past the float range they are
+    # inf or NaN, which CanonicalCoeffs rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        return PwlSystem.from_coeffs(minus=_char_coeffs(am), plus=_char_coeffs(ap))
 
 
 # ---------------------------------------------------------------------------

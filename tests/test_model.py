@@ -249,6 +249,19 @@ def test_canonicalize_time_scale_invariance(ex1, scale):
     assert got.tau_plus == pytest.approx(ref.tau_plus, rel=1e-12)
 
 
+def test_canonicalize_at_tiny_scale_fails_the_focus_test_like_its_coefficients(ex1):
+    # the pair scaled by 1e-13 is observable, but its rotation rates fall
+    # under the eigen step's absolute BETA_FLOOR: raw matrices and the same
+    # system given as coefficients both end in NotFocusType
+    s = 1e-13
+    am, ap = np.asarray(ex1.minus.matrix), np.asarray(ex1.plus.matrix)
+    with pytest.raises(NotFocusType):
+        canonicalize(s * ap, s * am)
+    c = coeffs_from_eigen(ex1.minus.eigen)
+    with pytest.raises(NotFocusType):
+        ZoneSpec.from_coeffs(CanonicalCoeffs(c.delta * s, c.m * s * s, c.d * s**3))
+
+
 def test_canonicalize_rejects_unobservable():
     # first row (a, 0, 0) makes e1^T A parallel to e1^T
     am = np.array([[2.0, 0.0, 0.0], [1.0, 1.0, -1.0], [0.5, 1.0, 0.0]])
