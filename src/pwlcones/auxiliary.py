@@ -27,16 +27,24 @@ import numpy as np
 from .errors import DomainError
 
 # Below this |tau| the direct formula loses roughly eight digits to
-# cancellation, so a fifth-order series takes over.
+# cancellation, so a fifth-order series takes over; the series is truncated
+# in gamma*tau too, so it also needs |gamma*tau| < SERIES_GT_CUTOFF.
 SERIES_CUTOFF = 1e-4
+SERIES_GT_CUTOFF = 2e-3
 
 ROOT_RESIDUAL_TOL = 1e-12
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
+def _finite_float(value):
+    """``value`` as a Python float if it is a finite 0-d value (float, int,
+    numpy scalar or 0-d array), else None."""
+    f = float(value) if isinstance(value, float) or np.ndim(value) == 0 else math.nan
+    return f if math.isfinite(f) else None
+
+
 def _scalar_or_array(value):
-    arr = np.asarray(value)
-    return float(arr) if arr.ndim == 0 else arr
+    return float(value) if isinstance(value, float) or np.ndim(value) == 0 else np.asarray(value)
 
 
 def _phi_series(g, t):
@@ -63,15 +71,14 @@ def _phi_closed(g, t):
 def phi(gamma, tau):
     """Evaluate the passage kernel; accepts scalars or numpy arrays.
 
-    Uses the series branch for |tau| < SERIES_CUTOFF and a cancellation-free
-    grouping of the closed form elsewhere; the two branches agree to better
-    than 1e-9 relative at the switchover.
+    Uses the series branch for small |tau| and |gamma*tau| (SERIES_CUTOFF)
+    and a cancellation-free grouping of the closed form elsewhere; the two
+    branches agree to better than 1e-9 relative at the switchover.
     """
     g = np.asarray(gamma, dtype=float)
     t = np.asarray(tau, dtype=float)
-    return _scalar_or_array(
-        np.where(np.abs(t) < SERIES_CUTOFF, _phi_series(g, t), _phi_closed(g, t))
-    )
+    small = (np.abs(t) < SERIES_CUTOFF) & (np.abs(g * t) < SERIES_GT_CUTOFF)
+    return _scalar_or_array(np.where(small, _phi_series(g, t), _phi_closed(g, t)))
 
 
 def phi_deriv(gamma, tau):
@@ -88,32 +95,34 @@ def phi_scaled(gamma, tau):
 
     * -gamma*tau > log(DBL_MAX): +inf, the value's float limit (hence zero
       slope contribution), without calling expm1;
-    * |tau| < SERIES_CUTOFF: the series of phi times exp(-gamma*tau);
+    * small |tau| and |gamma*tau|: the series of phi times exp(-gamma*tau);
     * otherwise the direct form
       expm1(-gamma*tau) + 2 sin^2(tau/2) + gamma sin(tau),
       finite for arbitrarily large positive gamma*tau.
 
-    Scalar arguments return a float, arrays an array of their broadcast shape.
+    Finite 0-d arguments take a Python-float path that returns the array
+    path's bits as a float; arrays return an array of their broadcast shape.
     """
-    g = np.asarray(gamma, dtype=float)
-    t = np.asarray(tau, dtype=float)
-    if g.ndim == 0 and t.ndim == 0:
+    g, t = _finite_float(gamma), _finite_float(tau)
+    if g is not None and t is not None:
         x = -g * t
         if x > _LOG_FLOAT_MAX:
             return math.inf
-        if abs(t) < SERIES_CUTOFF:
-            return float(_phi_series(g, t) * np.exp(x))
-        return float(np.expm1(x) + 2.0 * np.sin(0.5 * t) ** 2 + g * np.sin(t))
-    g, t = np.broadcast_arrays(g, t)
-    x = -g * t
+        if abs(t) < SERIES_CUTOFF and abs(x) < SERIES_GT_CUTOFF:
+            return _phi_series(g, t) * float(np.exp(x))
+        s = math.sin(0.5 * t)
+        return float(np.expm1(x)) + 2.0 * (s * s) + g * math.sin(t)
+    g, t = np.broadcast_arrays(np.asarray(gamma, dtype=float), np.asarray(tau, dtype=float))
+    with np.errstate(over="ignore"):  # +/-inf past the float range, as on the float path
+        x = -g * t
     out = np.full(x.shape, math.inf)
     in_range = ~(x > _LOG_FLOAT_MAX)
-    small = in_range & (np.abs(t) < SERIES_CUTOFF)
+    small = in_range & (np.abs(t) < SERIES_CUTOFF) & (np.abs(x) < SERIES_GT_CUTOFF)
     direct = in_range & ~small
     out[small] = _phi_series(g[small], t[small]) * np.exp(x[small])
     gd, td = g[direct], t[direct]
     out[direct] = np.expm1(x[direct]) + 2.0 * np.sin(0.5 * td) ** 2 + gd * np.sin(td)
-    return out
+    return out if out.ndim else float(out)
 
 
 def _bracket_root(f, lo: float, hi: float, flo: float, fprime=None, tol: float = 0.0) -> float:
@@ -217,8 +226,10 @@ def check_phase(gamma: float, tau, name: str = "tau") -> None:
     """Raise :class:`DomainError` unless every tau lies in (0, tau_hat(gamma)),
     the admissible passage phases of a zone with shape ratio gamma."""
     th = tau_hat(gamma).tau
-    t = np.asarray(tau, dtype=float)
-    if not np.all((t > 0.0) & (t < th)):
+    t = _finite_float(tau)
+    if t is None:
+        t = np.asarray(tau, dtype=float)
+    if not (0.0 < t < th if isinstance(t, float) else np.all((t > 0.0) & (t < th))):
         raise DomainError(f"{name}={tau!r} outside (0, {th!r}) for gamma={gamma!r}")
 
 
@@ -233,12 +244,10 @@ def g_ratio(gamma: float, tau):
     so the limit is smooth).
     """
     check_phase(gamma, tau)
-    t = np.asarray(tau, dtype=float)
-    return _scalar_or_array(np.asarray(phi_scaled(-gamma, t)) / phi_scaled(gamma, t))
+    return _scalar_or_array(np.asarray(phi_scaled(-gamma, tau)) / phi_scaled(gamma, tau))
 
 
 def log_g(gamma: float, tau):
     """log(g_ratio), from logarithms of the scaled kernel."""
     check_phase(gamma, tau)
-    t = np.asarray(tau, dtype=float)
-    return _scalar_or_array(np.log(phi_scaled(-gamma, t)) - np.log(phi_scaled(gamma, t)))
+    return _scalar_or_array(np.log(phi_scaled(-gamma, tau)) - np.log(phi_scaled(gamma, tau)))

@@ -76,15 +76,8 @@ class ConeSolution:
     dynamics: ConeDynamics
 
     def to_json(self) -> dict:
-        return {
-            "tau_minus": self.tau_minus,
-            "tau_plus": self.tau_plus,
-            "u0": self.u0,
-            "u1": self.u1,
-            "return_ratio": self.return_ratio,
-            "kind": self.kind.value,
-            "dynamics": self.dynamics.value,
-        }
+        # the fields in declaration order, enums by their value
+        return {k: v.value if isinstance(v, Enum) else v for k, v in vars(self).items()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,17 +332,15 @@ def _newton_refine(system, tm, tp, bounds, target):
     (lo_m, hi_m, lo_p, hi_p) = bounds
 
     def res(a, b):
-        return np.array(
-            [
-                exit_slope(ep, b) - entry_slope(em, a),
-                entry_slope(ep, b) - exit_slope(em, a),
-            ]
+        return (
+            exit_slope(ep, b) - entry_slope(em, a),
+            entry_slope(ep, b) - exit_slope(em, a),
         )
 
     f = res(tm, tp)
     smin_ratio = math.inf
     for _ in range(_NEWTON_ITERS):
-        if not np.all(np.isfinite(f)):
+        if not all(map(math.isfinite, f)):
             break
         jac = (
             -entry_slope_deriv(em, tm),
@@ -362,10 +353,10 @@ def _newton_refine(system, tm, tp, bounds, target):
         smax, smin = _singular_values(*jac)
         if smax > 0.0:
             smin_ratio = smin / smax
-        step = _cramer_step(*jac, float(f[0]), float(f[1]))
+        step = _cramer_step(*jac, *f)
         if step is None:
             break
-        size = float(np.max(np.abs(f)))
+        size = max(abs(f[0]), abs(f[1]))
         scale = 1.0
         moved = False
         for _ in range(_MAX_HALVINGS):
@@ -375,21 +366,23 @@ def _newton_refine(system, tm, tp, bounds, target):
                 break  # every further halving lands on the same point
             if lo_m < cm < hi_m and lo_p < cp < hi_p:
                 fc = res(cm, cp)
-                if float(np.max(np.abs(fc))) < size:
+                if all(map(math.isfinite, fc)) and max(abs(fc[0]), abs(fc[1])) < size:
                     tm, tp, f = cm, cp, fc
                     moved = True
                     break
             scale *= 0.5
         if not moved:
             break
-        if float(np.max(np.abs(f))) < target * 1e-3:
+        if max(abs(f[0]), abs(f[1])) < target * 1e-3:
             break
+    # np.max, unlike max, returns NaN when either residual is NaN
     return tm, tp, float(np.max(np.abs(f))), smin_ratio
 
 
-def _straddles(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _straddles(u: np.ndarray, v: np.ndarray, cells=None) -> np.ndarray:
     """Grid cells (i, j) on whose four corners the residual v[j'] - u[i']
-    (i' in {i, i+1}, j' in {j, j+1}) does not keep one sign.
+    (i' in {i, i+1}, j' in {j, j+1}) does not keep one sign, as a mask over
+    the grid or, given index arrays ``cells = (i, j)``, over those cells.
 
     The corners are all positive exactly when min(v[j:j+2]) > max(u[i:i+2]),
     all negative when max(v[j:j+2]) < min(u[i:i+2]), and all exactly zero when
@@ -402,11 +395,16 @@ def _straddles(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     lo_v, hi_v = np.minimum(v[:-1], v[1:]), np.maximum(v[:-1], v[1:])
     point_u = np.where((lo_u == hi_u) & np.isfinite(lo_u), lo_u, np.nan)
     point_v = np.where(lo_v == hi_v, lo_v, np.nan)
-    return ~(
-        (lo_v[None, :] > hi_u[:, None])
-        | (hi_v[None, :] < lo_u[:, None])
-        | (point_v[None, :] == point_u[:, None])
-    )
+    i, j = ((slice(None), None), (None, slice(None))) if cells is None else cells
+    return ~((lo_v[j] > hi_u[i]) | (hi_v[j] < lo_u[i]) | (point_v[j] == point_u[i]))
+
+
+def _candidate_cells(u0, u1, v1, v2) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major (i, j) of the cells where both v2 - u0 and v1 - u1 straddle
+    zero; the second test runs only on the cells that pass the first."""
+    i, j = np.nonzero(_straddles(u0, v2))
+    keep = _straddles(u1, v1, (i, j))
+    return i[keep], j[keep]
 
 
 def solve_invariant_cones(
@@ -445,13 +443,13 @@ def solve_invariant_cones(
         u1 = exit_slope(em, tms)
         v1 = entry_slope(ep, tps)
         v2 = exit_slope(ep, tps)
-        cells = np.nonzero(_straddles(u0, v2) & _straddles(u1, v1))
+        cells = _candidate_cells(u0, u1, v1, v2)
         target = residual_target * _slope_scale(system)
         bounds = (1e-12 * thm, thm * (1.0 - 1e-12), 1e-12 * thp, thp * (1.0 - 1e-12))
         roots: list[tuple[float, float]] = []
         for i, j in zip(*cells):
-            tm0 = 0.5 * (tms[i] + tms[i + 1])
-            tp0 = 0.5 * (tps[j] + tps[j + 1])
+            tm0 = float(0.5 * (tms[i] + tms[i + 1]))
+            tp0 = float(0.5 * (tps[j] + tps[j + 1]))
             tm, tp, resid, smin_ratio = _newton_refine(system, tm0, tp0, bounds, target)
             if resid > target:
                 continue

@@ -22,7 +22,8 @@ from enum import Enum
 
 import numpy as np
 
-from .auxiliary import _bracket_root, _scalar_or_array, check_phase, g_ratio, phi_scaled, tau_hat
+from .auxiliary import (_bracket_root, _finite_float, _scalar_or_array, check_phase, g_ratio,
+                        phi_scaled, tau_hat)
 from .errors import NoReturnFound, WrongHalfPlane
 from .model import EigenTriple, PwlSystem
 
@@ -111,8 +112,14 @@ def slope_increment(gamma: float, tau):
     kernel of both passage slopes: entry = lam + beta S(gamma, tau) and
     exit = lam - beta S(-gamma, tau).  With phi_scaled = phi exp(-gamma tau)
     the fraction equals (1+gamma^2) exp(gamma tau) sin(tau) / phi(gamma, tau)
-    without the overflow of strong shape ratios."""
-    return (1.0 + gamma * gamma) * np.sin(tau) / phi_scaled(gamma, tau)
+    without the overflow of strong shape ratios.  A finite 0-d tau takes a
+    Python-float path, as in phi_scaled."""
+    t = _finite_float(tau)
+    if t is None:
+        return (1.0 + gamma * gamma) * np.sin(tau) / phi_scaled(gamma, tau)
+    d = phi_scaled(gamma, t)
+    # a zero divisor divides as numpy does: +/-inf or nan, with its warning
+    return (1.0 + gamma * gamma) * math.sin(t) / (d or np.float64(d))
 
 
 def slope_increment_deriv(gamma: float, tau):
@@ -120,9 +127,15 @@ def slope_increment_deriv(gamma: float, tau):
     D' = -gamma D + (1+gamma^2) sin, and q = (1+gamma^2) / D:
     S' = q (cos + gamma sin) - (q sin)^2.  Dividing by D twice, never by
     D*D, keeps it finite where D*D would overflow."""
-    q = (1.0 + gamma * gamma) / np.asarray(phi_scaled(gamma, tau))
-    st = np.sin(tau)
-    return q * (np.cos(tau) + gamma * st) - (q * st) ** 2
+    t = _finite_float(tau)
+    if t is None:
+        d, st, ct = np.asarray(phi_scaled(gamma, tau)), np.sin(tau), np.cos(tau)
+    else:
+        d, st, ct = phi_scaled(gamma, t), math.sin(t), math.cos(t)
+        d = d or np.float64(d)  # a zero divisor divides as numpy does
+    q = (1.0 + gamma * gamma) / d
+    qs = q * st
+    return q * (ct + gamma * st) - qs * qs
 
 
 def entry_slope(eigen: EigenTriple, tau):

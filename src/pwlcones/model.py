@@ -390,16 +390,8 @@ def system_from_json(doc) -> PwlSystem:
 def system_to_json(system: PwlSystem) -> dict:
     """Serialize in the coefficient representation (exact for the matrices)."""
     return {
-        "minus": {
-            "delta": system.minus.coeffs.delta,
-            "m": system.minus.coeffs.m,
-            "d": system.minus.coeffs.d,
-        },
-        "plus": {
-            "delta": system.plus.coeffs.delta,
-            "m": system.plus.coeffs.m,
-            "d": system.plus.coeffs.d,
-        },
+        side: dict(zip(("delta", "m", "d"), zone.coeffs.as_tuple()))
+        for side, zone in (("minus", system.minus), ("plus", system.plus))
     }
 
 

@@ -1,5 +1,6 @@
 """Kernel function: values, symmetry, first zero, growth ratio."""
 
+import functools
 import math
 
 import mpmath
@@ -8,6 +9,14 @@ import pytest
 
 from pwlcones import DomainError, PhiRoot, g_ratio, phi, phi_deriv, phi_scaled, tau_hat
 from pwlcones.auxiliary import _LOG_FLOAT_MAX, SERIES_CUTOFF, _phi_closed, _phi_series
+from pwlcones.halfmaps import (
+    entry_slope,
+    entry_slope_deriv,
+    exit_slope,
+    exit_slope_deriv,
+    slope_increment,
+    slope_increment_deriv,
+)
 
 PI = math.pi
 
@@ -113,6 +122,69 @@ def test_phi_scaled_reaches_inf_without_overflow():
     # huge positive gamma*tau never evaluates the series, whose g^3 overflows
     assert math.isfinite(phi_scaled(1e62, 4.0))
     assert math.isfinite(phi_scaled(1e100, np.array([3.2, 4.0]))[0])
+
+
+@pytest.mark.parametrize("g", [1e308, -1e308])
+def test_kernel_past_float_range_of_gamma_tau(g):
+    # gamma*tau itself leaves the float range: the product is +/-inf, the
+    # limit each branch expects, and no overflow warning is raised
+    assert tau_hat(g).tau == math.nextafter(PI, 4.0)
+    expected = math.inf if g < 0.0 else g * math.sin(3.0)
+    assert phi_scaled(g, 3.0) == expected
+    assert phi_scaled(np.array([g, g]), np.array([3.0, 3.0])).tolist() == [expected] * 2
+    if g > 0.0:
+        assert phi_scaled(g, 3.0) == pytest.approx(1.4112000805986722e307, rel=1e-15)
+
+
+def test_phi_scaled_matches_high_precision_in_series_range():
+    # the series is truncated in powers of gamma*tau as well as tau, so it
+    # serves only where |gamma*tau| is small too; over the tau range below
+    # SERIES_CUTOFF, for |gamma| up to 1e6, both paths stay within 1e-12
+    # relative of e^{-g t} - cos t + g sin t at 50 digits
+    ts = np.append(np.geomspace(1e-9, SERIES_CUTOFF, 16)[:-1], math.nextafter(SERIES_CUTOFF, 0.0))
+    mags = np.geomspace(1e-3, 1e6, 28)
+    with mpmath.workdps(50):
+        for g in np.concatenate([mags, -mags]).tolist():
+            vector = phi_scaled(g, ts)
+            gm = mpmath.mpf(g)
+            for t, v in zip(ts.tolist(), vector.tolist()):
+                assert phi_scaled(g, t) == v
+                exact = mpmath.exp(-gm * t) - mpmath.cos(t) + gm * mpmath.sin(t)
+                assert abs(mpmath.mpf(v) - exact) <= 1e-12 * abs(exact), (g, t)
+    assert phi_scaled(-1e6, 1e-5) == pytest.approx(22015.465794806936, rel=1e-12)
+    # the series' g^2 would overflow here; the direct form does not
+    assert math.isfinite(phi_scaled(1e200, 1e-5))
+
+
+def _scalar_forms(t):
+    forms = [float(t), np.float64(t), np.array(float(t))]
+    return forms + [int(t)] if float(t).is_integer() else forms
+
+
+def test_scalar_path_returns_the_vector_element_for_every_scalar_type(ex1):
+    # float, int, numpy scalar and 0-d array take the same float path, and it
+    # returns the bits of the array path's element
+    ts = [1e-5, 0.3, 1.0, 2.0, 2.5, 3.0]
+    funcs = []
+    for g in (-1.0, 0.5, 7.5):
+        funcs += [
+            functools.partial(phi_scaled, g),
+            functools.partial(slope_increment, g),
+            functools.partial(slope_increment_deriv, g),
+        ]
+    for eigen in (ex1.minus.eigen, ex1.plus.eigen):
+        for fn in (entry_slope, exit_slope, entry_slope_deriv, exit_slope_deriv):
+            funcs.append(functools.partial(fn, eigen))
+    for fn in funcs:
+        vector = fn(np.array(ts))
+        for k, t in enumerate(ts):
+            for form in _scalar_forms(t):
+                out = fn(form)
+                assert type(out) is float, (fn, form)
+                assert out == vector[k], (fn, form)
+    # the kernel's gamma takes every form as well
+    for form in _scalar_forms(3.0):
+        assert phi_scaled(form, 2.0) == phi_scaled(np.array([3.0]), 2.0)[0]
 
 
 def test_tau_hat_zero_gamma_exact():

@@ -209,9 +209,10 @@ def test_simulate_reports_origin_collapse(tmp_path, capsys):
 
 
 def test_console_entry_point_runs():
-    for gamma in ["1", "230", "5000"]:
+    for gamma in ["1", "230", "5000", "1e308"]:
         proc = subprocess.run(
-            [sys.executable, "-m", "pwlcones.cli", "tau-hat", "--gamma", gamma],
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "pwlcones.cli", "tau-hat",
+             "--gamma", gamma],
             capture_output=True,
             text=True,
         )

@@ -27,7 +27,7 @@ from pwlcones import (
     tau_hat,
     zone_flow,
 )
-from pwlcones.cones import _cramer_step, _singular_values, _straddles
+from pwlcones.cones import _candidate_cells, _cramer_step, _singular_values, _straddles
 from pwlcones.halfmaps import entry_slope, exit_slope
 from conftest import random_focus_eigen
 
@@ -382,6 +382,10 @@ def test_interval_scan_matches_sign_scan_on_systems(ex1, ex2):
         u0, u1, v1, v2 = _grid_slopes(system)
         for u, v in ((u0, v2), (u1, v1)):
             assert np.array_equal(_straddles(u, v), _sign_scan_cells(u, v))
+        # the two-stage scan keeps the cells of the full masks, in row-major order
+        i, j = _candidate_cells(u0, u1, v1, v2)
+        ei, ej = np.nonzero(_straddles(u0, v2) & _straddles(u1, v1))
+        assert np.array_equal(i, ei) and np.array_equal(j, ej)
 
 
 def test_interval_scan_matches_sign_scan_on_special_values():
