@@ -32,6 +32,10 @@ from .errors import DomainError
 SERIES_CUTOFF = 1e-4
 SERIES_GT_CUTOFF = 2e-3
 
+# The largest |gamma| whose series term g*(g*g - 1) is finite: past it the
+# series is formed in gamma*tau, so every value below it keeps its bits.
+_SERIES_G_MAX = 5.643803094122361e102
+
 ROOT_RESIDUAL_TOL = 1e-12
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
@@ -57,6 +61,29 @@ def _phi_series(g, t):
     )
 
 
+def _phi_series_gt(x, t):
+    # the same series in x = g t, which stays finite where powers of g do not:
+    # (t^2 + x^2) [1/2 + x/3 + (3x^2 - t^2)/24 + x(x^2 - t^2)/30]
+    return (t * t + x * x) * (
+        0.5 + x / 3.0 + (3.0 * x * x - t * t) / 24.0 + x * (x * x - t * t) / 30.0
+    )
+
+
+def _series(g, t):
+    """The series branch of phi: :func:`_phi_series`, or, where |g| exceeds
+    ``_SERIES_G_MAX`` and its g^3 term would overflow, :func:`_phi_series_gt`.
+    A float g gives a float; arrays g and t of one shape give an array."""
+    if isinstance(g, float):
+        return _phi_series(g, t) if abs(g) <= _SERIES_G_MAX else _phi_series_gt(g * t, t)
+    big = np.abs(g) > _SERIES_G_MAX
+    if not big.any():
+        return _phi_series(g, t)
+    out = np.empty(g.shape)
+    out[~big] = _phi_series(g[~big], t[~big])
+    out[big] = _phi_series_gt(g[big] * t[big], t[big])
+    return out
+
+
 def _phi_closed(g, t):
     # Algebraically identical to 1 - e^{gt}(cos t - g sin t); grouping the
     # constant with cos via 1 - cos t = 2 sin^2(t/2) and using expm1 keeps
@@ -75,10 +102,12 @@ def phi(gamma, tau):
     and a cancellation-free grouping of the closed form elsewhere; the two
     branches agree to better than 1e-9 relative at the switchover.
     """
-    g = np.asarray(gamma, dtype=float)
-    t = np.asarray(tau, dtype=float)
+    g, t = np.broadcast_arrays(np.asarray(gamma, dtype=float), np.asarray(tau, dtype=float))
     small = (np.abs(t) < SERIES_CUTOFF) & (np.abs(g * t) < SERIES_GT_CUTOFF)
-    return _scalar_or_array(np.where(small, _phi_series(g, t), _phi_closed(g, t)))
+    out = np.empty(g.shape)
+    out[small] = _series(g[small], t[small])
+    out[~small] = _phi_closed(g[~small], t[~small])
+    return _scalar_or_array(out)
 
 
 def phi_deriv(gamma, tau):
@@ -109,7 +138,7 @@ def phi_scaled(gamma, tau):
         if x > _LOG_FLOAT_MAX:
             return math.inf
         if abs(t) < SERIES_CUTOFF and abs(x) < SERIES_GT_CUTOFF:
-            return _phi_series(g, t) * float(np.exp(x))
+            return _series(g, t) * float(np.exp(x))
         s = math.sin(0.5 * t)
         return float(np.expm1(x)) + 2.0 * (s * s) + g * math.sin(t)
     g, t = np.broadcast_arrays(np.asarray(gamma, dtype=float), np.asarray(tau, dtype=float))
@@ -119,7 +148,7 @@ def phi_scaled(gamma, tau):
     in_range = ~(x > _LOG_FLOAT_MAX)
     small = in_range & (np.abs(t) < SERIES_CUTOFF) & (np.abs(x) < SERIES_GT_CUTOFF)
     direct = in_range & ~small
-    out[small] = _phi_series(g[small], t[small]) * np.exp(x[small])
+    out[small] = _series(g[small], t[small]) * np.exp(x[small])
     gd, td = g[direct], t[direct]
     out[direct] = np.expm1(x[direct]) + 2.0 * np.sin(0.5 * td) ** 2 + gd * np.sin(td)
     return out if out.ndim else float(out)

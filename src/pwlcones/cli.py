@@ -121,11 +121,11 @@ def _cmd_simulate(args) -> int:
     system = load_system(args.system)
     try:
         x0 = np.array([float(v) for v in args.x0.split(",")])
-        if x0.shape != (3,):
+        if x0.shape != (3,) or not x0.any():
             raise ValueError
     except ValueError:
         raise MalformedInput(
-            f"--x0 must be three comma-separated numbers, got {args.x0!r}"
+            f"--x0 must be three comma-separated numbers, not all zero, got {args.x0!r}"
         ) from None
     try:
         trace = trace_orbit(

@@ -21,12 +21,13 @@ from enum import Enum
 import numpy as np
 
 from .auxiliary import _LOG_FLOAT_MAX, check_phase, log_g, tau_hat
-from .errors import NotApplicable
+from .errors import MalformedInput, NotApplicable
 from .halfmaps import (
     entry_slope,
     entry_slope_deriv,
     exit_slope,
     exit_slope_deriv,
+    passage_slope_rows,
     slope_increment,
 )
 from .model import EigenTriple, PwlSystem
@@ -41,6 +42,7 @@ LAM_MATCH_RTOL = 1e-9
 _GRID_INSET = 1e-6
 _NEWTON_ITERS = 60
 _MAX_HALVINGS = 50
+_SCAN_BLOCK = 16  # cells per side of a block in the pre-screen of the cone scan
 
 
 class ConeKind(Enum):
@@ -379,32 +381,74 @@ def _newton_refine(system, tm, tp, bounds, target):
     return tm, tp, float(np.max(np.abs(f))), smin_ratio
 
 
-def _straddles(u: np.ndarray, v: np.ndarray, cells=None) -> np.ndarray:
-    """Grid cells (i, j) on whose four corners the residual v[j'] - u[i']
-    (i' in {i, i+1}, j' in {j, j+1}) does not keep one sign, as a mask over
-    the grid or, given index arrays ``cells = (i, j)``, over those cells.
+def _cell_intervals(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per grid cell k along the last axis, the ends min and max of
+    (u[..., k], u[..., k+1])."""
+    return np.minimum(u[..., :-1], u[..., 1:]), np.maximum(u[..., :-1], u[..., 1:])
 
-    The corners are all positive exactly when min(v[j:j+2]) > max(u[i:i+2]),
-    all negative when max(v[j:j+2]) < min(u[i:i+2]), and all exactly zero when
-    the four values are one finite number, so the scan compares the ends of
-    these intervals instead of forming the residual on the grid.  A NaN
-    corner, or an inf - inf one (a shared infinite value), fails all three
-    tests, so its cell straddles.
-    """
-    lo_u, hi_u = np.minimum(u[:-1], u[1:]), np.maximum(u[:-1], u[1:])
-    lo_v, hi_v = np.minimum(v[:-1], v[1:]), np.maximum(v[:-1], v[1:])
+
+def _keeps_sign(lo_u, hi_u, lo_v, hi_v) -> np.ndarray:
+    """Whether v - u keeps one sign for every u in [lo_u, hi_u] and v in
+    [lo_v, hi_v] (the arguments broadcast): all positive when
+    lo_v > hi_u, all negative when hi_v < lo_u, all exactly zero when both
+    intervals are the same finite point.  A NaN end, or a shared infinite
+    point (inf - inf), fails all three tests."""
     point_u = np.where((lo_u == hi_u) & np.isfinite(lo_u), lo_u, np.nan)
     point_v = np.where(lo_v == hi_v, lo_v, np.nan)
-    i, j = ((slice(None), None), (None, slice(None))) if cells is None else cells
-    return ~((lo_v[j] > hi_u[i]) | (hi_v[j] < lo_u[i]) | (point_v[j] == point_u[i]))
+    return (lo_v > hi_u) | (hi_v < lo_u) | (point_v == point_u)
+
+
+def _straddles(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Mask over the grid cells (i, j) on whose four corners the residual
+    v[j'] - u[i'] (i' in {i, i+1}, j' in {j, j+1}) does not keep one sign.
+
+    The scan compares the ends of the intervals u[i:i+2] and v[j:j+2]
+    (:func:`_keeps_sign`) instead of forming the residual on the grid, so a
+    NaN corner, or an inf - inf one, makes its cell straddle.
+    """
+    lo_u, hi_u = _cell_intervals(u)
+    lo_v, hi_v = _cell_intervals(v)
+    return ~_keeps_sign(lo_u[:, None], hi_u[:, None], lo_v, hi_v)
 
 
 def _candidate_cells(u0, u1, v1, v2) -> tuple[np.ndarray, np.ndarray]:
     """Row-major (i, j) of the cells where both v2 - u0 and v1 - u1 straddle
-    zero; the second test runs only on the cells that pass the first."""
-    i, j = np.nonzero(_straddles(u0, v2))
-    keep = _straddles(u1, v1, (i, j))
-    return i[keep], j[keep]
+    zero, that is ``np.nonzero(_straddles(u0, v2) & _straddles(u1, v1))``.
+
+    The grid is first screened in blocks of ``_SCAN_BLOCK`` x ``_SCAN_BLOCK``
+    cells.  Each cell's intervals lie inside its block's hulls (the least and
+    the greatest interval end over the block's rows or columns), so where
+    the hulls keep one sign for either pair, no cell of the block straddles;
+    a NaN end makes its hull NaN, which keeps the block.  The exact tests
+    then run on the cells of the kept blocks only, and the survivors are
+    sorted back to row-major order.
+    """
+    rows, cols = u0.size - 1, v2.size - 1
+    if rows < 1 or cols < 1:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    # row k of lo_u, hi_u, lo_v, hi_v belongs to pair k: (u0, v2), (u1, v1)
+    lo_u, hi_u = _cell_intervals(np.stack((u0, u1)))
+    lo_v, hi_v = _cell_intervals(np.stack((v2, v1)))
+    row_starts, col_starts = np.arange(0, rows, _SCAN_BLOCK), np.arange(0, cols, _SCAN_BLOCK)
+    screened = (
+        (np.minimum.reduceat(lo_v, col_starts, axis=1)[:, None, :]
+         > np.maximum.reduceat(hi_u, row_starts, axis=1)[:, :, None])
+        | (np.maximum.reduceat(hi_v, col_starts, axis=1)[:, None, :]
+           < np.minimum.reduceat(lo_u, row_starts, axis=1)[:, :, None])
+    )
+    block_i, block_j = np.divmod(np.flatnonzero(~(screened[0] | screened[1])), col_starts.size)
+    # (kept block, offset) -> cell index; past the grid's end, the cells of
+    # a partial block repeat its last cell and are dropped after the test
+    i = block_i[:, None] * _SCAN_BLOCK + np.arange(_SCAN_BLOCK)
+    j = block_j[:, None] * _SCAN_BLOCK + np.arange(_SCAN_BLOCK)
+    ci, cj = np.minimum(i, rows - 1), np.minimum(j, cols - 1)
+    one_sign = _keeps_sign(
+        lo_u[:, ci, None], hi_u[:, ci, None], lo_v[:, cj][:, :, None, :], hi_v[:, cj][:, :, None, :]
+    )
+    block, di, dj = np.nonzero(~(one_sign[0] | one_sign[1]))
+    i, j = i[block, di], j[block, dj]
+    inside = (i < rows) & (j < cols)
+    return np.divmod(np.sort(i[inside] * cols + j[inside]), cols)
 
 
 def solve_invariant_cones(
@@ -426,7 +470,18 @@ def solve_invariant_cones(
     instead of isolated points.  A trivial cone (the shared focus plane) is
     appended whenever the real eigenvalues agree.  Results are sorted by
     phase pair, so the outcome does not depend on scan order.
+
+    Raises :class:`MalformedInput` unless ``grid`` is an integer >= 2,
+    ``residual_target`` is finite and positive, and both tolerances are
+    finite and nonnegative.
     """
+    if not isinstance(grid, (int, np.integer)) or grid < 2:
+        raise MalformedInput(f"grid must be an integer >= 2, got {grid!r}")
+    if not (math.isfinite(residual_target) and residual_target > 0.0):
+        raise MalformedInput(f"residual_target must be finite and > 0, got {residual_target!r}")
+    for name, tol in (("center_tol", center_tol), ("degeneracy_tol", degeneracy_tol)):
+        if not (math.isfinite(tol) and tol >= 0.0):
+            raise MalformedInput(f"{name} must be finite and >= 0, got {tol!r}")
     em, ep = system.minus.eigen, system.plus.eigen
     thm = tau_hat(em.gamma).tau
     thp = tau_hat(ep.gamma).tau
@@ -439,10 +494,7 @@ def solve_invariant_cones(
         ins_m, ins_p = _GRID_INSET * thm, _GRID_INSET * thp
         tms = np.linspace(ins_m, thm - ins_m, grid)
         tps = np.linspace(ins_p, thp - ins_p, grid)
-        u0 = entry_slope(em, tms)
-        u1 = exit_slope(em, tms)
-        v1 = entry_slope(ep, tps)
-        v2 = exit_slope(ep, tps)
+        u0, u1, v1, v2 = passage_slope_rows((em, ep), (tms, tps))
         cells = _candidate_cells(u0, u1, v1, v2)
         target = residual_target * _slope_scale(system)
         bounds = (1e-12 * thm, thm * (1.0 - 1e-12), 1e-12 * thp, thp * (1.0 - 1e-12))

@@ -47,7 +47,9 @@ class NonPositiveBeta(PwlError):
 
 
 class MalformedInput(PwlError):
-    """A system-spec document does not match the JSON schema."""
+    """A system-spec document does not match the JSON schema, or an option
+    value (a grid size, a tolerance, a time or sample budget) is out of its
+    range."""
 
 
 class TraceAborted(PwlError):

@@ -113,7 +113,8 @@ def slope_increment(gamma: float, tau):
     exit = lam - beta S(-gamma, tau).  With phi_scaled = phi exp(-gamma tau)
     the fraction equals (1+gamma^2) exp(gamma tau) sin(tau) / phi(gamma, tau)
     without the overflow of strong shape ratios.  A finite 0-d tau takes a
-    Python-float path, as in phi_scaled."""
+    Python-float path, as in phi_scaled; with an array tau, gamma may be an
+    array that broadcasts against it."""
     t = _finite_float(tau)
     if t is None:
         return (1.0 + gamma * gamma) * np.sin(tau) / phi_scaled(gamma, tau)
@@ -138,16 +139,40 @@ def slope_increment_deriv(gamma: float, tau):
     return q * (ct + gamma * st) - qs * qs
 
 
+def _passage_slope(lam, signed_beta, s):
+    """lam + signed_beta * s: the entry slope with beta and S(gamma, tau),
+    the exit slope with -beta and S(-gamma, tau).  Adding -beta*S gives the
+    bits of subtracting beta*S, so every slope is formed here."""
+    return lam + signed_beta * s
+
+
 def entry_slope(eigen: EigenTriple, tau):
     """Slope z/y of the ray that begins a passage of phase tau:
     lam + beta S(gamma, tau)."""
-    return _scalar_or_array(eigen.lam + eigen.beta * slope_increment(eigen.gamma, tau))
+    return _scalar_or_array(
+        _passage_slope(eigen.lam, eigen.beta, slope_increment(eigen.gamma, tau))
+    )
 
 
 def exit_slope(eigen: EigenTriple, tau):
     """Slope z/y where the passage of phase tau lands back on the plane:
     lam - beta S(-gamma, tau)."""
-    return _scalar_or_array(eigen.lam - eigen.beta * slope_increment(-eigen.gamma, tau))
+    return _scalar_or_array(
+        _passage_slope(eigen.lam, -eigen.beta, slope_increment(-eigen.gamma, tau))
+    )
+
+
+def passage_slope_rows(eigens, taus) -> np.ndarray:
+    """Entry and exit slopes of each zone ``eigens[k]`` over its phases
+    ``taus[k]`` (all of one length), from one slope_increment call over the
+    stacked rows; row 2k is entry_slope(eigens[k], taus[k]) and row 2k+1
+    exit_slope(eigens[k], taus[k]), bit for bit."""
+    # one column vector each of gamma, lam and beta, signed for the exit rows
+    gammas, lams, signed_betas = np.array(
+        [(sign * e.gamma, e.lam, sign * e.beta) for e in eigens for sign in (1.0, -1.0)]
+    ).T[:, :, None]
+    s = slope_increment(gammas, np.repeat(np.asarray(taus, dtype=float), 2, axis=0))
+    return _passage_slope(lams, signed_betas, s)
 
 
 def entry_slope_deriv(eigen: EigenTriple, tau):

@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .auxiliary import _bracket_root, tau_hat
-from .errors import Diverged, OriginReached, PwlError
+from .errors import Diverged, MalformedInput, OriginReached, PwlError
 from .halfmaps import ZoneSide, _zone_of, flow_coefficients, x1_at, zone_flow
 from .model import PwlSystem
 
@@ -208,7 +208,13 @@ def trace_orbit(
     Raises :class:`OriginReached` / :class:`Diverged` (with the partial
     trace attached) when the state norm leaves [NORM_FLOOR, NORM_CEIL], and
     ends with ``termination='tangency'`` if a crossing lands on y = 0.
+    Raises :class:`MalformedInput` for a NaN ``t_max`` or a
+    ``samples_per_dwell`` that is not an integer >= 0.
     """
+    if math.isnan(t_max):
+        raise MalformedInput("t_max must be a number, got nan")
+    if not isinstance(samples_per_dwell, (int, np.integer)) or samples_per_dwell < 0:
+        raise MalformedInput(f"samples_per_dwell must be an integer >= 0, got {samples_per_dwell!r}")
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (3,):
         raise ValueError("x0 must be a 3-vector")

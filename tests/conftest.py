@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from pwlcones import EigenTriple, PwlSystem, example_system
+
+# Property tests draw the same examples on every run (derandomize, no example
+# database) and are not timed per example, so the suite's outcome and wall
+# time do not depend on the run or on the machine's load.
+settings.register_profile(
+    "pwlcones", derandomize=True, database=None, deadline=None, max_examples=100
+)
+settings.load_profile("pwlcones")
 
 
 @pytest.fixture(scope="session")

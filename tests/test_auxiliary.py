@@ -8,7 +8,15 @@ import numpy as np
 import pytest
 
 from pwlcones import DomainError, PhiRoot, g_ratio, phi, phi_deriv, phi_scaled, tau_hat
-from pwlcones.auxiliary import _LOG_FLOAT_MAX, SERIES_CUTOFF, _phi_closed, _phi_series
+from pwlcones.auxiliary import (
+    _LOG_FLOAT_MAX,
+    _SERIES_G_MAX,
+    SERIES_CUTOFF,
+    SERIES_GT_CUTOFF,
+    _phi_closed,
+    _phi_series,
+    _phi_series_gt,
+)
 from pwlcones.halfmaps import (
     entry_slope,
     entry_slope_deriv,
@@ -154,6 +162,50 @@ def test_phi_scaled_matches_high_precision_in_series_range():
     assert phi_scaled(-1e6, 1e-5) == pytest.approx(22015.465794806936, rel=1e-12)
     # the series' g^2 would overflow here; the direct form does not
     assert math.isfinite(phi_scaled(1e200, 1e-5))
+
+
+def _phi_scaled_reference(g: float, t: float) -> mpmath.mpf:
+    # phi e^{-g t} to 50 significant digits: the working precision covers the
+    # cancellation in 1 - e^{gt}(cos t - g sin t), which loses about
+    # -log10((g t)^2 + t^2) digits
+    lost = int(-math.log10((g * t) ** 2 + t * t)) if t else 0
+    with mpmath.workdps(50 + lost):
+        gm, tm = mpmath.mpf(g), mpmath.mpf(t)
+        return +((1 - mpmath.exp(gm * tm) * (mpmath.cos(tm) - gm * mpmath.sin(tm)))
+                 * mpmath.exp(-gm * tm))
+
+
+def test_series_branch_past_the_cube_of_gamma():
+    # past _SERIES_G_MAX the term g*(g*g - 1) of the series overflows although
+    # phi itself is tiny there; the series in x = gamma*tau takes over, with no
+    # warning, on both paths and in phi
+    limit = _SERIES_G_MAX
+    assert math.isfinite(limit * (limit * limit - 1.0))
+    above = math.nextafter(limit, math.inf)
+    assert above * (above * above - 1.0) == math.inf
+    assert phi_scaled(1e200, 1e-205) == pytest.approx(5.0e-11, rel=1e-9)
+    mags = np.append(np.geomspace(1e150, 1e300, 16), [above, 1e103, 1e120])
+    for g in np.concatenate([mags, -mags]).tolist():
+        ts = [c / abs(g) for c in (0.999 * SERIES_GT_CUTOFF, 1e-3, 3e-7, 1e-30)] + [0.0]
+        vector = phi_scaled(g, np.array(ts))
+        for t, v in zip(ts, vector.tolist()):
+            assert phi_scaled(g, t) == v
+            exact = _phi_scaled_reference(g, t)
+            assert abs(mpmath.mpf(v) - exact) <= 1e-12 * abs(exact), (g, t)
+            assert phi(g, t) == pytest.approx(float(exact * mpmath.exp(g * t)), rel=1e-12)
+
+
+def test_series_forms_agree_at_the_gamma_limit():
+    # on both sides of the switch the two forms of the series are the same
+    # function; below it only _phi_series is used, so values keep their bits
+    for g in (_SERIES_G_MAX, math.nextafter(_SERIES_G_MAX, math.inf), 1e100, 1.0, 1e-3):
+        for c in (1.9e-3, 1e-3, 1e-8):
+            t = min(c / g, 0.99 * SERIES_CUTOFF)
+            a, b = _phi_series(g, t), _phi_series_gt(g * t, t)
+            if math.isfinite(a):
+                assert b == pytest.approx(a, rel=1e-14)
+    g, t = 1e100, 1e-103
+    assert phi_scaled(g, t) == _phi_series(g, t) * float(np.exp(-g * t))
 
 
 def _scalar_forms(t):

@@ -191,6 +191,49 @@ def test_simulate_rejects_bad_x0(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "option",
+    [
+        ["--grid", "-1"],
+        ["--grid", "0"],
+        ["--grid", "1"],
+        ["--residual-target", "-1"],
+        ["--residual-target", "inf"],
+        ["--center-tol", "nan"],
+        ["--center-tol", "-1"],
+        ["--degeneracy-tol", "inf"],
+    ],
+    ids=" ".join,
+)
+def test_analyze_rejects_out_of_range_options(option, tmp_path, capsys):
+    sys_path = _write_ex1(tmp_path)
+    assert main(["analyze", "--system", str(sys_path)] + option) == 3
+    assert "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "option",
+    [["--samples-per-dwell", "-3"], ["--t-max", "nan"], ["--x0", "0,0,-0"]],
+    ids=" ".join,
+)
+def test_simulate_rejects_malformed_options(option, tmp_path, capsys):
+    # each of these once ended in a raw ValueError or RuntimeWarning traceback
+    sys_path = _write_ex1(tmp_path)
+    assert main(["simulate", "--system", str(sys_path), "--x0", "0,4,-1.3040"] + option) == 3
+    assert "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "option, termination",
+    [(["--t-max", "-5"], "t_max"), (["--crossings", "-1"], "crossings"),
+     (["--samples-per-dwell", "0"], "crossings")],
+)
+def test_simulate_keeps_degenerate_budgets(option, termination, tmp_path, capsys):
+    sys_path = _write_ex1(tmp_path)
+    assert main(["simulate", "--system", str(sys_path), "--x0", "0,4,-1.3040"] + option) == 0
+    assert json.loads(capsys.readouterr().out)["termination"] == termination
+
+
 def test_simulate_reports_origin_collapse(tmp_path, capsys):
     # both zones contract along a slow invariant line; the orbit never crosses
     doc = {

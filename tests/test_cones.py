@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pwlcones import (
     ConeDynamics,
     ConeKind,
     DomainError,
     EigenTriple,
+    MalformedInput,
     NotApplicable,
     PwlSystem,
     ScreenResult,
@@ -18,6 +21,7 @@ from pwlcones import (
     analyze_system,
     classify_dynamics,
     cone_continuum,
+    example_system,
     half_map,
     matching_residuals,
     necessary_screen,
@@ -27,7 +31,13 @@ from pwlcones import (
     tau_hat,
     zone_flow,
 )
-from pwlcones.cones import _candidate_cells, _cramer_step, _singular_values, _straddles
+from pwlcones.cones import (
+    _SCAN_BLOCK,
+    _candidate_cells,
+    _cramer_step,
+    _singular_values,
+    _straddles,
+)
 from pwlcones.halfmaps import entry_slope, exit_slope
 from conftest import random_focus_eigen
 
@@ -427,3 +437,106 @@ def test_closed_form_singular_values_and_step():
     assert _cramer_step(*singular.ravel(), 1.0, 1.0) is None
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(singular, [1.0, 1.0])
+
+
+_SCAN_VALUES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324]),
+    st.integers(-6, 6).map(float),
+    st.floats(-1e3, 1e3),
+)
+
+
+@st.composite
+def _scan_vector(draw, size):
+    # runs of equal values, cycled to ``size``; sorted ones let whole blocks
+    # be screened out, as the slopes of a real grid do
+    runs = draw(st.lists(st.tuples(_SCAN_VALUES, st.integers(1, 12)), min_size=1, max_size=40))
+    v = np.resize(np.repeat([x for x, _ in runs], [k for _, k in runs]), size)
+    order = draw(st.sampled_from(["as drawn", "ascending", "descending"]))
+    if order != "as drawn":
+        v = np.sort(v)
+    return v[::-1].copy() if order == "descending" else v
+
+
+@st.composite
+def _scan_vectors(draw):
+    # lengths 1-600 that are not multiples of the block size, so most grids
+    # end in a partial block
+    size = st.integers(1, 600).filter(lambda n: n % _SCAN_BLOCK != 0)
+    rows, cols = draw(size), draw(size)
+    return [draw(_scan_vector(n)) for n in (rows, rows, cols, cols)]
+
+
+@given(_scan_vectors())
+def test_block_screened_cells_match_full_masks(vectors):
+    u0, u1, v1, v2 = vectors
+    i, j = _candidate_cells(u0, u1, v1, v2)
+    ei, ej = np.nonzero(_straddles(u0, v2) & _straddles(u1, v1))
+    assert np.array_equal(i, ei) and np.array_equal(j, ej)
+
+
+# the cones the solver reported before the block-screened scan, bit for bit:
+# (tau_minus, tau_plus, u0, u1, return_ratio) of each system's Center cone
+_PINNED_CONES = {
+    (1, 2): (0.7853981633974483, 3.926990816987242, -0.3259998512438447, -16.187857719993524,
+             1.0000000000000133),
+    (1, 3): (0.7853981633974484, 3.9269908169872414, -0.3259998512438447, -16.187857719993524,
+             1.000000000000003),
+    (1, 17): (0.7853981633974486, 3.9269908169872414, -0.32599985124384645, -16.18785771999352,
+              1.0000000000000027),
+    (1, 1000): (0.7853981633974485, 3.9269908169872414, -0.32599985124384645,
+                -16.187857719993524, 1.0000000000000027),
+    (2, 2): (3.926990816987242, 0.7853981633974483, -16.187857719993705, -0.3259998512438469,
+             1.0000000000000133),
+    (2, 3): (3.9269908169872414, 0.7853981633974484, -16.187857719993524, -0.3259998512438469,
+             1.0000000000000027),
+    (2, 17): (3.9269908169872414, 0.7853981633974486, -16.187857719993524, -0.3259998512438469,
+              1.0000000000000027),
+    (2, 1000): (3.9269908169872414, 0.7853981633974485, -16.187857719993524,
+                -0.3259998512438469, 1.0000000000000027),
+}
+
+
+@pytest.mark.parametrize("which, grid", sorted(_PINNED_CONES))
+def test_reference_cones_at_small_and_large_grids(which, grid):
+    report = analyze_system(example_system(which), grid=grid)
+    assert report.periodic
+    [cone] = report.cones
+    assert (cone.tau_minus, cone.tau_plus, cone.u0, cone.u1, cone.return_ratio) == (
+        _PINNED_CONES[which, grid]
+    )
+    assert cone.kind is ConeKind.NON_TRIVIAL and cone.dynamics is ConeDynamics.CENTER
+
+
+@pytest.mark.parametrize(
+    "option",
+    [
+        {"grid": -1},
+        {"grid": 0},
+        {"grid": 1},
+        {"grid": 256.0},
+        {"residual_target": -1.0},
+        {"residual_target": 0.0},
+        {"residual_target": math.inf},
+        {"residual_target": math.nan},
+        {"center_tol": math.nan},
+        {"center_tol": -1.0},
+        {"center_tol": math.inf},
+        {"degeneracy_tol": -1e-8},
+        {"degeneracy_tol": math.nan},
+    ],
+    ids=repr,
+)
+def test_solver_options_out_of_range_are_malformed(ex1, option):
+    # each of these once ended in a raw ValueError, a missed cone or a Center
+    # cone relabelled UnstableFocus
+    with pytest.raises(MalformedInput):
+        analyze_system(ex1, **option)
+
+
+def test_solver_options_at_their_bounds(ex1):
+    report = analyze_system(
+        ex1, grid=np.int64(2), residual_target=1e-9, center_tol=0.0, degeneracy_tol=0.0
+    )
+    assert [c.kind for c in report.cones] == [ConeKind.NON_TRIVIAL]
+    assert report.cones[0].tau_minus == pytest.approx(PI / 4, abs=1e-12)

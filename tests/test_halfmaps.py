@@ -22,6 +22,7 @@ from pwlcones import (
     tau_hat,
     zone_flow,
 )
+from pwlcones.halfmaps import passage_slope_rows
 from conftest import random_focus_eigen
 
 PI = math.pi
@@ -326,3 +327,30 @@ def test_no_return_below_reachable_range_for_negative_gamma():
         x = s @ x
         worst = max(worst, x[0])
     assert worst < -1e-9
+
+
+def test_passage_slope_rows_are_the_slopes_bit_for_bit(ex1):
+    # the cone scan's one stacked slope_increment call gives the bits of
+    # entry_slope and exit_slope on each zone, on grids that reach the
+    # series branch (tiny tau), the +inf branch (strong shape ratios) and
+    # the inset grid of the scan itself
+    rng = np.random.default_rng(91)
+    zones = [ex1.minus.eigen, ex1.plus.eigen] + [random_focus_eigen(rng) for _ in range(8)]
+    zones += [
+        EigenTriple(lam=-1.0, alpha=300.0, beta=1.0), EigenTriple(lam=2.0, alpha=-250.0, beta=0.5)
+    ]
+    for a, b in zip(zones[::2], zones[1::2]):
+        tha, thb = tau_hat(a.gamma).tau, tau_hat(b.gamma).tau
+        for n in (2, 17, 256):
+            taus = (
+                np.linspace(1e-6 * tha, tha * (1.0 - 1e-6), n),
+                np.geomspace(1e-9, thb * (1.0 - 1e-9), n),
+            )
+            rows = passage_slope_rows((a, b), taus)
+            expected = [
+                entry_slope(a, taus[0]), exit_slope(a, taus[0]),
+                entry_slope(b, taus[1]), exit_slope(b, taus[1]),
+            ]
+            assert rows.shape == (4, n)
+            for row, want in zip(rows, expected):
+                assert row.tobytes() == want.tobytes()

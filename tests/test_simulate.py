@@ -12,6 +12,7 @@ from pwlcones import (
     ConeKind,
     Diverged,
     EigenTriple,
+    MalformedInput,
     OriginReached,
     PwlSystem,
     ZoneSide,
@@ -191,6 +192,28 @@ def test_trace_t_max_termination(ex1):
     assert all(cr.t <= 1.0 for cr in trace.crossings)
     assert all(t <= 1.0 for t, _, _ in trace.samples)
     assert len(trace.crossings) == 1  # only the first passage fits the budget
+
+
+@pytest.mark.parametrize(
+    "option", [{"t_max": math.nan}, {"samples_per_dwell": -3}, {"samples_per_dwell": 2.5}], ids=repr
+)
+def test_trace_rejects_malformed_budgets(ex1, option):
+    # a NaN time budget once ended in a RuntimeWarning, a negative sample
+    # count in a raw ValueError from linspace
+    with pytest.raises(MalformedInput):
+        trace_orbit(ex1, X0_REF, **option)
+
+
+def test_trace_keeps_degenerate_budgets(ex1):
+    # a negative time or crossing budget stops at once; zero samples per
+    # dwell still traces the crossings
+    assert trace_summary(trace_orbit(ex1, X0_REF, t_max=-5.0)) == {
+        "closed": False, "closure_residual": None, "period": None, "crossings": 0,
+        "samples": 0, "termination": "t_max", "note": "",
+    }
+    assert trace_summary(trace_orbit(ex1, X0_REF, max_crossings=-1))["termination"] == "crossings"
+    trace = trace_orbit(ex1, X0_REF, max_crossings=2, samples_per_dwell=0)
+    assert len(trace.samples) == 0 and len(trace.crossings) == 2 and trace.closed
 
 
 def test_trace_rejects_zero_start(ex1):
