@@ -100,13 +100,26 @@ def phi(gamma, tau):
 
     Uses the series branch for small |tau| and |gamma*tau| (SERIES_CUTOFF)
     and a cancellation-free grouping of the closed form elsewhere; the two
-    branches agree to better than 1e-9 relative at the switchover.
+    branches agree to better than 1e-9 relative at the switchover.  Where
+    the value passes the float range -- gamma*tau > log(DBL_MAX), where
+    exp(gamma*tau) itself overflows and the closed form is not evaluated,
+    or gamma*exp(gamma*tau) overflowing for |gamma| > 1 -- finite arguments
+    give +/-inf with the sign of phi_scaled(gamma, tau), without a warning.
     """
     g, t = np.broadcast_arrays(np.asarray(gamma, dtype=float), np.asarray(tau, dtype=float))
-    small = (np.abs(t) < SERIES_CUTOFF) & (np.abs(g * t) < SERIES_GT_CUTOFF)
+    with np.errstate(over="ignore"):  # +inf past the float range, as in phi_scaled
+        x = g * t
+    small = (np.abs(t) < SERIES_CUTOFF) & (np.abs(x) < SERIES_GT_CUTOFF)
+    finite = np.isfinite(g) & np.isfinite(t)
+    past = finite & (x > _LOG_FLOAT_MAX)
+    direct = ~small & ~past
     out = np.empty(g.shape)
     out[small] = _series(g[small], t[small])
-    out[~small] = _phi_closed(g[~small], t[~small])
+    with np.errstate(over="ignore"):  # only gamma*exp(gamma*tau) can pass DBL_MAX here
+        out[direct] = _phi_closed(g[direct], t[direct])
+    past |= finite & np.isinf(out)
+    if past.any():
+        out[past] = np.copysign(np.inf, phi_scaled(g[past], t[past]))
     return _scalar_or_array(out)
 
 

@@ -41,7 +41,8 @@ class ZoneSide(Enum):
 
 def modal_matrix(eigen: EigenTriple) -> np.ndarray:
     """Columns: real/imaginary parts spanning the focus plane, then the
-    invariant-line eigenvector.  det = beta^3 (1 + gamma^2) > 0 always."""
+    invariant-line eigenvector.  det = beta^3 (1 + gamma^2) > 0 always.
+    The modal coordinates c of a state x solve M c = x."""
     lam, al, be = eigen.lam, eigen.alpha, eigen.beta
     return np.array(
         [
@@ -52,32 +53,60 @@ def modal_matrix(eigen: EigenTriple) -> np.ndarray:
     )
 
 
-def flow_coefficients(eigen: EigenTriple, x0) -> np.ndarray:
-    """Coordinates of x0 in the modal basis; the x1 component of the flow is
-    then  exp(alpha t) (c1 cos(beta t) - c2 sin(beta t)) + c3 exp(lam t)."""
-    return np.linalg.solve(modal_matrix(eigen), np.asarray(x0, dtype=float))
+def _flow_factors(eigen: EigenTriple, t):
+    """The time factors exp(alpha t), cos(beta t), sin(beta t), exp(lam t)
+    of the zone flow.  An array ``t`` gives arrays; a float ``t`` gives
+    floats from ``math.cos``/``math.sin`` and numpy's ``exp``, the bits of
+    the array path."""
+    al, be, lam = eigen.alpha, eigen.beta, eigen.lam
+    if isinstance(t, float):
+        return float(np.exp(al * t)), math.cos(be * t), math.sin(be * t), float(np.exp(lam * t))
+    return np.exp(al * t), np.cos(be * t), np.sin(be * t), np.exp(lam * t)
+
+
+def _x1_of(coeffs, ea, ct, st, el):
+    """x1 = exp(alpha t) (c1 cos(beta t) - c2 sin(beta t)) + c3 exp(lam t)
+    from the modal coordinates and the time factors of :func:`_flow_factors`."""
+    c1, c2, c3 = coeffs
+    return ea * (c1 * ct - c2 * st) + c3 * el
+
+
+def _x1_function(eigen: EigenTriple, coeffs):
+    """x1 along the zone flow as a function of a float t, on Python floats.
+    It raises ``OverflowError`` where an exponential leaves the float range,
+    so callers use it only between times at which x1 is known to be finite
+    (each exponential is monotone in t)."""
+    al, be, lam = eigen.alpha, eigen.beta, eigen.lam
+    c1, c2, c3 = coeffs
+
+    def x1(t: float) -> float:
+        return math.exp(al * t) * (c1 * math.cos(be * t) - c2 * math.sin(be * t)) + c3 * math.exp(
+            lam * t
+        )
+
+    return x1
 
 
 def x1_at(eigen: EigenTriple, coeffs, t):
-    """First state component along the zone flow; vectorized over t.
+    """First state component along the zone flow; vectorized over t (a
+    scalar ``t`` gives a float).  For a float function of t, on Python
+    floats, see :func:`_x1_function`."""
+    out = _x1_of(coeffs, *_flow_factors(eigen, np.asarray(t, dtype=float)))
+    return float(out) if out.ndim == 0 else out
 
-    A float ``t`` takes a ``math`` branch that returns a float.  It raises
-    ``OverflowError`` where an exponential leaves the float range, so callers
-    use it only between times at which x1 is known to be finite (each
-    exponential is monotone in t)."""
+
+def _modal_flow(eigen: EigenTriple, rows, coeffs, t):
+    """The state at ``t`` of the zone flow exp(alpha t) M R(beta t) c from
+    the modal coordinates ``coeffs`` = c, with ``rows`` the rows of
+    M = modal_matrix(eigen).  A float ``t`` gives a list of three floats; an
+    array ``t`` of shape (n,) or () gives states of shape (n, 3) or (3,)."""
+    ea, ct, st, el = _flow_factors(eigen, t)
     c1, c2, c3 = coeffs
-    be = eigen.beta
-    if isinstance(t, float):
-        return math.exp(eigen.alpha * t) * (
-            c1 * math.cos(be * t) - c2 * math.sin(be * t)
-        ) + c3 * math.exp(eigen.lam * t)
-    t = np.asarray(t, dtype=float)
-    out = np.exp(eigen.alpha * t) * (c1 * np.cos(be * t) - c2 * np.sin(be * t)) + c3 * np.exp(
-        eigen.lam * t
-    )
-    if out.ndim == 0:
-        return float(out)
-    return out
+    w1 = ea * (c1 * ct - c2 * st)
+    w2 = ea * (c1 * st + c2 * ct)
+    w3 = el * c3
+    state = [w1 * a + w2 * b + w3 * d for a, b, d in rows]
+    return state if isinstance(t, float) else np.stack(state, axis=-1)
 
 
 def zone_flow(eigen: EigenTriple, x0, t):
@@ -88,23 +117,8 @@ def zone_flow(eigen: EigenTriple, x0, t):
     (returns an (n, 3) array of states).
     """
     m = modal_matrix(eigen)
-    c = flow_coefficients(eigen, x0)
-    t_arr = np.asarray(t, dtype=float)
-    be = eigen.beta
-    ct, st = np.cos(be * t_arr), np.sin(be * t_arr)
-    ea = np.exp(eigen.alpha * t_arr)
-    el = np.exp(eigen.lam * t_arr)
-    w1 = ea * (c[0] * ct - c[1] * st)
-    w2 = ea * (c[0] * st + c[1] * ct)
-    w3 = el * c[2]
-    out = (
-        np.multiply.outer(w1, m[:, 0])
-        + np.multiply.outer(w2, m[:, 1])
-        + np.multiply.outer(w3, m[:, 2])
-    )
-    if t_arr.ndim == 0:
-        return out.reshape(3)
-    return out
+    c = np.linalg.solve(m, np.asarray(x0, dtype=float))
+    return _modal_flow(eigen, m.tolist(), c.tolist(), np.asarray(t, dtype=float))
 
 
 def slope_increment(gamma: float, tau):

@@ -17,7 +17,8 @@ import numpy as np
 
 from .auxiliary import _bracket_root, tau_hat
 from .errors import Diverged, MalformedInput, OriginReached, PwlError
-from .halfmaps import ZoneSide, _zone_of, flow_coefficients, x1_at, zone_flow
+from .halfmaps import (ZoneSide, _flow_factors, _modal_flow, _x1_function, _x1_of, _zone_of,
+                       modal_matrix, x1_at)
 from .model import PwlSystem
 
 NORM_FLOOR = 1e-300
@@ -27,6 +28,10 @@ CLOSURE_RTOL = 1e-6
 SCAN_PER_TURN = 1024
 SAMPLES_PER_DWELL = 400
 TANGENCY_RTOL = 1e-12
+NO_RETURN_RTOL = 1e-9
+_LOG_NORM_FLOOR = math.log(NORM_FLOOR)
+_LOG_NORM_CEIL = math.log(NORM_CEIL)
+_LOG_EXP_SAFE = 700.0  # |lam t| up to this keeps exp(lam t) a normal float
 _RK4_BLOCK = 512  # states per block of rk4_flow: S^0 ... S^(_RK4_BLOCK-1)
 
 
@@ -177,13 +182,74 @@ def _check_norm(trace: OrbitTrace, n: float, t: float) -> float:
     return n
 
 
+class _ZoneScan:
+    """What a trace needs of one zone, formed once per trace: its spectrum,
+    the scan length of one focus-plane turn, the modal matrix (as an array
+    and as rows of floats) and the time factors of :func:`_flow_factors`
+    on the first turn's scan grid ``ts``, which every dwell of the zone
+    starts with."""
+
+    def __init__(self, eigen):
+        self.eigen = eigen
+        self.chunk = tau_hat(eigen.gamma).tau / eigen.beta
+        self.m = modal_matrix(eigen)
+        self.rows = self.m.tolist()
+        # bounds of |x| by the focus and the invariant-line terms (see _never_returns)
+        norms = np.linalg.norm(self.m, axis=0).tolist()
+        self.k_focus, self.k_line = norms[0] + norms[1], norms[2]
+        self.ts = np.linspace(0.0, self.chunk, SCAN_PER_TURN + 1)
+        with np.errstate(over="ignore"):
+            self.factors = _flow_factors(eigen, self.ts)
+
+    def flow(self, coeffs, t):
+        """The states at ``t`` of the flow with modal coordinates ``coeffs``
+        (see :func:`_modal_flow`)."""
+        return _modal_flow(self.eigen, self.rows, coeffs, t)
+
+
+def _never_returns(scan: _ZoneScan, coeffs, positive: bool, t: float, t_end: float) -> bool:
+    """Whether x1 keeps the sign of its zone at every time in [t, t_end]
+    while the state norm stays inside [NORM_FLOOR, NORM_CEIL], so that the
+    scan could only run on to ``t_max`` without a crossing.
+
+    With x1 = e^{alpha s} r cos(beta s + psi) + c3 e^{lam s}, r = hypot(c1,
+    c2): if alpha <= lam, c3 has the zone's sign and r e^{alpha t} <
+    |c3| e^{lam t}, then the ratio rho of the two terms only falls after t,
+    and |c3| e^{lam s} (1 - rho) <= |x| <= |c3| e^{lam s} (rho k_focus +
+    k_line).  Everything is compared in logs with the relative margin
+    ``NO_RETURN_RTOL``, so nothing overflows; exp(lam s) must stay a normal
+    float, which for an infinite ``t_end`` needs lam = 0."""
+    c1, c2, c3 = coeffs
+    lam, al = scan.eigen.lam, scan.eigen.alpha
+    if al > lam or not (c3 > 0.0 if positive else c3 < 0.0):
+        return False
+    log_c3 = math.log(abs(c3))
+    r = math.hypot(c1, c2)
+    rho = 0.0
+    if r > 0.0:
+        log_r = math.log(r)
+        gap = (log_c3 + lam * t) - (log_r + al * t)
+        scale = 1.0 + abs(log_c3) + abs(lam * t) + abs(log_r) + abs(al * t)
+        if not gap > NO_RETURN_RTOL * scale:
+            return False
+        rho = math.exp(-gap)
+    line = (lam * t, lam * t_end) if lam else (0.0, 0.0)
+    if not max(abs(line[0]), abs(line[1])) <= _LOG_EXP_SAFE:
+        return False
+    hi = log_c3 + max(line) + math.log(rho * scan.k_focus + scan.k_line)
+    lo = log_c3 + min(line) + math.log1p(-rho)
+    margin = NO_RETURN_RTOL * (1.0 + abs(log_c3) + _LOG_EXP_SAFE)
+    return hi < _LOG_NORM_CEIL - margin and lo > _LOG_NORM_FLOOR + margin
+
+
 def _sample_dwell(
-    trace: OrbitTrace, eigen, x, zone: ZoneSide, t_start: float, duration: float, n: int
+    trace: OrbitTrace, scan: _ZoneScan, coeffs, zone: ZoneSide, t_start: float, duration: float,
+    n: int
 ) -> None:
-    """Add the block of ``n`` states of the dwell from ``x`` at ``t_start``,
-    evenly spaced over [0, duration)."""
+    """Add the block of ``n`` states of the dwell with modal coordinates
+    ``coeffs`` from ``t_start``, evenly spaced over [0, duration)."""
     ts = np.linspace(0.0, duration, n, endpoint=False)
-    trace.samples.add_block(t_start + ts, zone_flow(eigen, x, ts), zone)
+    trace.samples.add_block(t_start + ts, scan.flow(coeffs, ts), zone)
 
 
 def trace_orbit(
@@ -201,13 +267,19 @@ def trace_orbit(
     zone's kernel zero, so plane starts cross within the first turn), the
     first sign change of x1 is bisected to relative time tolerance
     ``CROSS_TIME_RTOL``, and ``samples_per_dwell`` states are emitted per
-    dwell.  Closure is declared at the first crossing that returns to the
-    starting plane point (same sign of y) within ``CLOSURE_RTOL`` relative;
-    the gap to that first sign-matching return is recorded either way.
+    dwell.  Each dwell solves for its modal coordinates once; each zone's
+    first-turn scan grid and time factors are formed once per trace.
+    Closure is declared at the first crossing that returns to the starting
+    plane point (same sign of y) within ``CLOSURE_RTOL`` relative; the gap
+    to that first sign-matching return is recorded either way.
 
     Raises :class:`OriginReached` / :class:`Diverged` (with the partial
     trace attached) when the state norm leaves [NORM_FLOOR, NORM_CEIL], and
-    ends with ``termination='tangency'`` if a crossing lands on y = 0.
+    ends with ``termination='tangency'`` if a crossing lands on y = 0.  A
+    dwell that after some full turn provably never reaches the plane before
+    ``t_max`` while its norm stays inside the guard (see
+    :func:`_never_returns`) ends with ``termination='no_return'``, sampled
+    up to that turn; without this an infinite ``t_max`` would scan forever.
     Raises :class:`MalformedInput` for a NaN ``t_max`` or a
     ``samples_per_dwell`` that is not an integer >= 0.
     """
@@ -233,6 +305,7 @@ def trace_orbit(
         trace.note = "start lies on the tangency line y = 0"
         return trace
 
+    scans: dict[ZoneSide, _ZoneScan] = {}
     t_global = 0.0
     while True:
         if len(trace.crossings) >= max_crossings:
@@ -241,16 +314,22 @@ def trace_orbit(
         if t_global >= t_max:
             trace.termination = "t_max"
             return trace
-        eigen = _zone_of(system, zone).eigen
-        chunk = tau_hat(eigen.gamma).tau / eigen.beta
-        coeffs = tuple(flow_coefficients(eigen, x).tolist())  # floats for the scalar x1_at
+        scan = scans.get(zone)
+        if scan is None:
+            scan = scans[zone] = _ZoneScan(_zone_of(system, zone).eigen)
+        eigen, chunk = scan.eigen, scan.chunk
+        coeffs = np.linalg.solve(scan.m, x).tolist()  # the dwell's modal coordinates
         inside_positive = zone is ZoneSide.PLUS
         t_cross = math.inf
         t_off = 0.0
         with np.errstate(over="ignore", invalid="ignore"):
             while t_cross == math.inf and t_global + t_off < t_max:
-                ts = np.linspace(t_off, t_off + chunk, SCAN_PER_TURN + 1)
-                x1 = x1_at(eigen, coeffs, ts)
+                if t_off == 0.0:
+                    ts = scan.ts
+                    x1 = _x1_of(coeffs, *scan.factors)
+                else:
+                    ts = np.linspace(t_off, t_off + chunk, SCAN_PER_TURN + 1)
+                    x1 = x1_at(eigen, coeffs, ts)
                 finite = np.isfinite(x1)
                 if not finite.all():  # the state left the float range in this turn
                     _check_norm(trace, math.inf, t_global + float(ts[np.argmin(finite)]))
@@ -260,7 +339,7 @@ def trace_orbit(
                     k = int(np.argmax(left))
                     lo, hi = float(ts[k - 1]), float(ts[k])
                     t_cross = _bracket_root(
-                        lambda t: x1_at(eigen, coeffs, t),
+                        _x1_function(eigen, coeffs),
                         lo,
                         hi,
                         1.0 if inside_positive else -1.0,
@@ -268,32 +347,40 @@ def trace_orbit(
                     )
                 else:
                     t_off += chunk
-                    edge = zone_flow(eigen, x, t_off)
-                    _check_norm(trace, math.hypot(*edge), t_global + t_off)
+                    _check_norm(trace, math.hypot(*scan.flow(coeffs, t_off)), t_global + t_off)
+                    t_end = t_max - t_global + chunk  # the last scanned turn ends before it
+                    if _never_returns(scan, coeffs, inside_positive, t_off, t_end):
+                        _sample_dwell(trace, scan, coeffs, zone, t_global, t_off, samples_per_dwell)
+                        trace.termination = "no_return"
+                        trace.note = (
+                            f"x1 keeps its sign from t={t_global + t_off!r} on: "
+                            "the orbit never returns to the plane"
+                        )
+                        return trace
         if t_global + t_cross > t_max:
-            _sample_dwell(trace, eigen, x, zone, t_global, t_max - t_global, samples_per_dwell)
+            _sample_dwell(trace, scan, coeffs, zone, t_global, t_max - t_global, samples_per_dwell)
             trace.termination = "t_max"
             return trace
-        _sample_dwell(trace, eigen, x, zone, t_global, t_cross, samples_per_dwell)
+        _sample_dwell(trace, scan, coeffs, zone, t_global, t_cross, samples_per_dwell)
 
-        point = zone_flow(eigen, x, t_cross)
+        point = scan.flow(coeffs, t_cross)
         point[0] = 0.0
         t_global += t_cross
         norm_cross = _check_norm(trace, math.hypot(*point), t_global)
         if abs(point[1]) <= TANGENCY_RTOL * norm_cross:
-            trace.samples.add_block(np.array([t_global]), point[None, :], zone)
+            trace.samples.add_block(np.array([t_global]), np.array([point]), zone)
             trace.termination = "tangency"
             trace.note = f"crossing at t={t_global!r} grazes the tangency line y = 0"
             return trace
+        x = np.array(point)
         direction = CrossDir.INTO_MINUS if point[1] > 0.0 else CrossDir.INTO_PLUS
-        trace.crossings.append(Crossing(t=t_global, point=point.copy(), direction=direction))
+        trace.crossings.append(Crossing(t=t_global, point=x, direction=direction))
         if ref is not None and trace.closure_residual is None and float(np.sign(point[1])) == ref_sign:
-            gap = math.hypot(*(point - ref))
+            gap = math.hypot(*(x - ref))
             trace.closure_residual = gap
             trace.period = t_global
             trace.closed = gap <= CLOSURE_RTOL * norm0
         zone = ZoneSide.MINUS if direction is CrossDir.INTO_MINUS else ZoneSide.PLUS
-        x = point
 
 
 def closure_check(system: PwlSystem, cone) -> float:

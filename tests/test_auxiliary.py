@@ -2,6 +2,7 @@
 
 import functools
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -393,3 +394,25 @@ def test_g_domain_enforced():
         g_ratio(1.0, 0.0)
     with pytest.raises(DomainError):
         g_ratio(1.0, -0.3)
+
+
+def test_phi_past_float_range_is_signed_inf():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _check_phi_past_float_range()
+
+
+def _check_phi_past_float_range():
+    assert phi(1000.0, 1.0) == math.inf
+    assert phi(1000.0, 4.0) == -math.inf and phi_scaled(1000.0, 4.0) < 0.0
+    assert phi(1e200, 1e200) == math.copysign(math.inf, phi_scaled(1e200, 1e200))
+    # gamma*exp(gamma*tau) passes DBL_MAX below the exp cut
+    assert phi(1e6, 7e-4) == math.inf
+    gs = np.array([1000.0, 1000.0, 1.0, -3.0, 1e6])
+    ts = np.array([1.0, 4.0, 2.0, 0.5, 7e-4])
+    out = phi(gs, ts)
+    assert out[0] == math.inf and out[1] == -math.inf and out[4] == math.inf
+    # finite values keep the closed form's bits
+    assert out[2] == phi(1.0, 2.0) == float(_phi_closed(np.array([1.0]), np.array([2.0]))[0])
+    assert out[3] == phi(-3.0, 0.5)
+    assert math.isfinite(phi(700.0, 1.0))

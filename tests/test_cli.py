@@ -300,3 +300,58 @@ def test_analyze_raw_matrix_entry_past_float_range(tmp_path, capsys):
     path.write_text(json.dumps({"A_minus": a_minus, "A_plus": _EX1_MATRIX}))
     assert main(["analyze", "--system", str(path)]) == 3
     capsys.readouterr()
+
+
+def test_phi_subcommand_past_float_range_without_warning():
+    # gamma*tau = 1000 > log(DBL_MAX): +inf with the sign of phi_scaled, no
+    # "overflow encountered in expm1" traceback
+    for gamma, tau, expected in (("1000", "1", math.inf), ("1000", "4", -math.inf)):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "pwlcones.cli", "phi",
+             "--gamma", gamma, "--tau", tau],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout.strip()) == expected
+
+
+def test_simulate_never_returning_orbit_ends_with_infinite_t_max(tmp_path):
+    # lam = 0, alpha < 0, started on the minus invariant line: x1 never
+    # changes sign and the norm stays bounded, so only the no_return test
+    # ends the trace; a subprocess with a timeout keeps a regression from
+    # hanging the suite
+    doc = {"minus": {"lambda": 0.0, "alpha": -1.0, "beta": 1.0},
+           "plus": {"lambda": 0.0, "alpha": -1.0, "beta": 1.0}}
+    sys_path = tmp_path / "line.json"
+    sys_path.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "pwlcones.cli", "simulate",
+         "--system", str(sys_path), "--x0=-1,2,-2", "--t-max", "inf"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(proc.stdout)
+    assert summary["termination"] == "no_return"
+    assert summary["crossings"] == 0
+
+
+def test_main_reuses_parser_without_leaking_options(tmp_path, monkeypatch, capsys):
+    from pwlcones import cli
+
+    grids = []
+    real = cli.analyze_system
+
+    def recording(system, **kwargs):
+        grids.append(kwargs["grid"])
+        return real(system, **kwargs)
+
+    monkeypatch.setattr(cli, "analyze_system", recording)
+    sys_path = _write_ex1(tmp_path)
+    assert main(["analyze", "--system", str(sys_path), "--grid", "17"]) == 0
+    assert main(["analyze", "--system", str(sys_path)]) == 0
+    capsys.readouterr()
+    assert grids == [17, cli.GRID_DEFAULT] == [17, 256]
+    assert cli._parser() is cli._parser()

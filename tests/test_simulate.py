@@ -360,3 +360,156 @@ def test_time_scale_invariance(ex1, scale):
     assert trace.period * scale == pytest.approx(
         trace_orbit(ex1, [0.0, 1.0, cones[0].u0 / scale], max_crossings=2).period, rel=1e-9
     )
+
+
+def _bits(a) -> bytes:
+    return np.asarray(a, dtype=float).tobytes()
+
+
+def _zone_eigen(system, point):
+    return (system.minus if point[1] > 0.0 else system.plus).eigen
+
+
+def _assert_dwells_are_zone_flow(monkeypatch, system, x0, crossings, n=37):
+    """Each dwell's block of samples and its crossing point are the public
+    zone_flow from the dwell's start at the same times, bit for bit.  The
+    dwell lengths are read from the crossing-time solver, since a crossing
+    time is stored as the sum of the dwell lengths."""
+    from pwlcones import simulate
+
+    dwells = []
+
+    def recording_root(*args, **kwargs):
+        dwells.append(simulate_root(*args, **kwargs))
+        return dwells[-1]
+
+    simulate_root = simulate._bracket_root
+    monkeypatch.setattr(simulate, "_bracket_root", recording_root)
+    trace = trace_orbit(system, x0, max_crossings=crossings, t_max=1e12, samples_per_dwell=n)
+    monkeypatch.undo()
+    assert len(trace.crossings) == len(dwells) == crossings
+    starts = [np.asarray(x0, dtype=float)] + [cr.point for cr in trace.crossings[:-1]]
+    t_start = 0.0
+    for k, (start, cr, dwell) in enumerate(zip(starts, trace.crossings, dwells)):
+        eigen = _zone_eigen(system, start)
+        ts = np.linspace(0.0, dwell, n, endpoint=False)
+        block = slice(k * n, (k + 1) * n)
+        assert _bits(trace.samples.t[block]) == _bits(t_start + ts)
+        assert _bits(trace.samples.states[block]) == _bits(zone_flow(eigen, start, ts))
+        point = zone_flow(eigen, start, dwell)
+        point[0] = 0.0
+        assert _bits(cr.point) == _bits(point)
+        t_start = cr.t
+
+
+def test_trace_dwells_equal_zone_flow_on_reference_systems(ex1, ex2, monkeypatch):
+    _assert_dwells_are_zone_flow(monkeypatch, ex1, X0_REF, 16)
+    _assert_dwells_are_zone_flow(monkeypatch, ex2, -X0_REF, 16)
+
+
+def test_trace_dwells_equal_zone_flow_on_random_designs(monkeypatch):
+    import pwlcones as pw
+
+    rng = np.random.default_rng(2026)
+    done = 0
+    while done < 3:
+        g = float(rng.uniform(0.1, 2.0)) * (1 if rng.uniform() < 0.5 else -1)
+        k = float(rng.uniform(0.3, 2.0))
+        c = float(rng.uniform(0.1, 10.0)) * (1 if rng.uniform() < 0.5 else -1)
+        tm, tp = pw.sample_admissible_angles(g, k, c, rng)
+        out = pw.synthesize(pw.SynthesisInput(gamma=g, k=k, c=c, tau_minus=tm, tau_plus=tp))
+        if abs(pw.slope_map_multiplier(out.system, tm, tp)) >= 1.0:
+            continue  # a repelling cone may leave the plane for good
+        u0 = float(pw.entry_slope(out.system.minus.eigen, tm))
+        _assert_dwells_are_zone_flow(monkeypatch, out.system, [0.0, 1.5, 1.5 * u0], 6)
+        done += 1
+
+
+# float.hex of the 16 crossing times of the reference orbit (ex1 from X0_REF;
+# ex2 from -X0_REF is its mirror image and crosses at the same times)
+REF_CROSSING_TIMES = [
+    "0x1.f29e7edcc9898p-3", "0x1.20534adfe92b1p+4", "0x1.243887dc834dcp+4",
+    "0x1.20534adf6c7d6p+5", "0x1.2245e95db989dp+5", "0x1.b07cf04ee47b0p+5",
+    "0x1.b26f8ecd31913p+5", "0x1.20534adf2e2f6p+6", "0x1.214c9a1e54ba8p+6",
+    "0x1.68681d96ea2a3p+6", "0x1.69616cd610ab8p+6", "0x1.b07cf04ea61b3p+6",
+    "0x1.b1763f8dcc9c8p+6", "0x1.f891c306620c3p+6", "0x1.f98b1245888d8p+6",
+    "0x1.20534adf0efeap+7",
+]
+
+
+def test_trace_crossing_times_pinned(ex1, ex2):
+    for system, x0 in ((ex1, X0_REF), (ex2, -X0_REF)):
+        trace = trace_orbit(system, x0, max_crossings=16)
+        assert [cr.t.hex() for cr in trace.crossings] == REF_CROSSING_TIMES
+
+
+def test_trace_crossing_past_first_turn():
+    # off the plane near the stable invariant line of a slowly growing focus:
+    # the first crossing comes after more than two scanned turns
+    e = EigenTriple(lam=-1.0, alpha=0.05, beta=1.0)
+    system = PwlSystem.from_eigen(minus=e, plus=e)
+    x0 = -invariant_line(e) + np.array([0.0, 0.01, 0.0])
+    n = 50
+    trace = trace_orbit(system, x0, max_crossings=1, samples_per_dwell=n)
+    t_cross = trace.crossings[0].t
+    assert t_cross.hex() == "0x1.15c9335a55505p+3"
+    from pwlcones import tau_hat
+
+    assert t_cross > 2.0 * tau_hat(e.gamma).tau / e.beta
+    ts = np.linspace(0.0, t_cross, n, endpoint=False)
+    assert _bits(trace.samples.states) == _bits(zone_flow(e, x0, ts))
+    point = zone_flow(e, x0, t_cross)
+    point[0] = 0.0
+    assert _bits(trace.crossings[0].point) == _bits(point)
+
+
+def test_trace_t_max_mid_dwell_is_zone_flow(ex1):
+    n = 40
+    trace = trace_orbit(ex1, X0_REF, max_crossings=50, t_max=1.0, samples_per_dwell=n)
+    assert trace.termination == "t_max" and len(trace.crossings) == 1
+    cr = trace.crossings[0]
+    ts = np.linspace(0.0, 1.0 - cr.t, n, endpoint=False)
+    assert _bits(trace.samples.t[n:]) == _bits(cr.t + ts)
+    assert _bits(trace.samples.states[n:]) == _bits(zone_flow(ex1.plus.eigen, cr.point, ts))
+
+
+@pytest.mark.parametrize(
+    "alpha, offset, sign",
+    [(-1.0, 0.0, -1.0), (-1.0, 0.0, 1.0), (-0.5, 0.05, -1.0), (0.0, 0.3, 1.0)],
+)
+@pytest.mark.parametrize("t_max", [1e4, math.inf])
+def test_trace_ends_orbits_that_never_return(alpha, offset, sign, t_max):
+    # lam = 0 and alpha <= 0: x1 tends to its invariant-line part, which keeps
+    # the zone's sign, while the norm stays bounded; the scan would otherwise
+    # run turn after turn until t_max
+    e = EigenTriple(lam=0.0, alpha=alpha, beta=1.0)
+    system = PwlSystem.from_eigen(minus=e, plus=e)
+    x0 = sign * invariant_line(e) + np.array([0.0, offset, 0.0])
+    trace = trace_orbit(system, x0, t_max=t_max, samples_per_dwell=100)
+    assert trace.termination == "no_return"
+    assert trace.crossings == []
+    assert "never returns" in trace.note
+    assert len(trace.samples) == 100
+    assert np.all(np.sign(trace.samples.states[:, 0]) == sign)
+    assert trace_summary(trace)["termination"] == "no_return"
+
+
+def test_trace_no_return_keeps_norm_guard_endings():
+    # x1 keeps its sign here too, but the norm leaves the guard before t_max:
+    # the trace still ends by the guard, as it always did
+    decay = PwlSystem.from_eigen(
+        minus=EigenTriple(lam=-0.5, alpha=-2.0, beta=1.0),
+        plus=EigenTriple(lam=-0.5, alpha=-1.0, beta=1.0),
+    )
+    with pytest.raises(OriginReached):
+        trace_orbit(decay, -invariant_line(decay.minus.eigen), t_max=math.inf)
+    grow = PwlSystem.from_eigen(
+        minus=EigenTriple(lam=0.5, alpha=-1.0, beta=1.0),
+        plus=EigenTriple(lam=0.5, alpha=-1.0, beta=1.0),
+    )
+    with pytest.raises(Diverged):
+        trace_orbit(grow, -invariant_line(grow.minus.eigen), t_max=math.inf)
+    # with a budget that ends before the guard, the dwell provably never returns
+    assert trace_orbit(decay, -invariant_line(decay.minus.eigen), t_max=100.0).termination == (
+        "no_return"
+    )
