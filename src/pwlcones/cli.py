@@ -10,14 +10,7 @@ import sys
 import numpy as np
 
 from .auxiliary import phi, tau_hat
-from .cones import (
-    CENTER_TOL,
-    DEGENERACY_TOL,
-    GRID_DEFAULT,
-    RESIDUAL_TARGET,
-    ConeKind,
-    analyze_system,
-)
+from .cones import GRID_DEFAULT, ConeKind, analyze_system
 from .errors import (
     AngleRegionViolation,
     Diverged,
@@ -64,13 +57,7 @@ def _cmd_tau_hat(args) -> int:
 
 def _cmd_analyze(args) -> int:
     system = load_system(args.system)
-    report = analyze_system(
-        system,
-        grid=args.grid,
-        residual_target=args.residual_target,
-        center_tol=args.center_tol,
-        degeneracy_tol=args.degeneracy_tol,
-    )
+    report = analyze_system(system, grid=args.grid)
     print("system:")
     print(_fmt_eigen("minus", system.minus.eigen))
     print(_fmt_eigen("plus ", system.plus.eigen))
@@ -145,8 +132,16 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise :class:`MalformedInput`, so they exit through ``_EXIT_CODES``."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise MalformedInput(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pwlcones",
         description=(
             "Analyze three-dimensional two-zone continuous piecewise-linear "
@@ -168,9 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", required=True, help="path to a system-spec JSON file")
     p.add_argument("--json", help="write the report JSON here instead of stdout")
     p.add_argument("--grid", type=int, default=GRID_DEFAULT)
-    p.add_argument("--residual-target", type=float, default=RESIDUAL_TARGET)
-    p.add_argument("--center-tol", type=float, default=CENTER_TOL)
-    p.add_argument("--degeneracy-tol", type=float, default=DEGENERACY_TOL)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("synthesize", help="construct a periodic-orbit-carrying system")
@@ -210,8 +202,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return args.func(args)
     except PwlError as exc:
         print(f"error: {exc}", file=sys.stderr)

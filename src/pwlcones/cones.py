@@ -37,6 +37,7 @@ CENTER_TOL = 1e-9
 DEGENERACY_TOL = 1e-8
 DEDUPE_TOL = 1e-8
 GRID_DEFAULT = 256
+FAMILY_SAMPLES = 201  # odd, so the sampled continuum hits the half-turn pair
 GAMMA_ZERO_ATOL = 1e-12
 LAM_MATCH_RTOL = 1e-9
 _GRID_INSET = 1e-6
@@ -182,11 +183,17 @@ def matching_residuals(system: PwlSystem, tau_minus: float, tau_plus: float):
     periodic orbits.
     """
     _check_pair(system, tau_minus, tau_plus)
-    em, ep = system.minus.eigen, system.plus.eigen
-    ra = exit_slope(ep, tau_plus) - entry_slope(em, tau_minus)
-    rb = entry_slope(ep, tau_plus) - exit_slope(em, tau_minus)
+    ra, rb = _slope_residuals(system.minus.eigen, system.plus.eigen, tau_minus, tau_plus)
     rc = _expm1_capped(return_log_ratio(system, tau_minus, tau_plus))
     return ra, rb, rc
+
+
+def _slope_residuals(em: EigenTriple, ep: EigenTriple, tau_minus, tau_plus):
+    """The slope residuals ``(ra, rb)`` of :func:`matching_residuals`."""
+    return (
+        exit_slope(ep, tau_plus) - entry_slope(em, tau_minus),
+        entry_slope(ep, tau_plus) - exit_slope(em, tau_minus),
+    )
 
 
 def _zero_gammas(system: PwlSystem) -> bool:
@@ -214,10 +221,9 @@ def _trivial_rm1(system: PwlSystem) -> float:
     return _expm1_capped(math.pi * (em.alpha / em.beta + ep.alpha / ep.beta))
 
 
-def cone_continuum(system: PwlSystem, n: int = 201) -> ConeFamily:
+def cone_continuum(system: PwlSystem) -> ConeFamily:
     """The full cone continuum of a system with both shape ratios zero and
-    equal real eigenvalues, sampled at ``n`` phase pairs (odd ``n`` hits the
-    half-turn pair exactly)."""
+    equal real eigenvalues, sampled at ``FAMILY_SAMPLES`` phase pairs."""
     if not _zero_gammas(system):
         raise NotApplicable("cone continuum requires both shape ratios ~ 0")
     if not _equal_lams(system):
@@ -225,9 +231,9 @@ def cone_continuum(system: PwlSystem, n: int = 201) -> ConeFamily:
     em, ep = system.minus.eigen, system.plus.eigen
     # the family's radial factor is the same on every pair, so it equals the
     # trivial cone's at the half-turn pair
-    dynamics = _classify_rm1(_trivial_rm1(system), CENTER_TOL)
+    dynamics = _classify_rm1(_trivial_rm1(system))
     margin = 1e-3
-    tms = np.linspace(margin, 2.0 * math.pi - margin, n)
+    tms = np.linspace(margin, 2.0 * math.pi - margin, FAMILY_SAMPLES)
     pairs = np.column_stack([tms, _family_tau_plus(em.beta, ep.beta, tms)])
     pairs.setflags(write=False)
     return ConeFamily(beta_minus=em.beta, beta_plus=ep.beta, pairs=pairs, dynamics=dynamics)
@@ -279,15 +285,13 @@ def necessary_screen(system: PwlSystem) -> ScreenResult:
     return ScreenResult.NOT_APPLICABLE
 
 
-def _classify_rm1(rm1: float, center_tol: float) -> ConeDynamics:
-    if abs(rm1) < center_tol:
+def _classify_rm1(rm1: float) -> ConeDynamics:
+    if abs(rm1) < CENTER_TOL:
         return ConeDynamics.CENTER
     return ConeDynamics.STABLE_FOCUS if rm1 < 0.0 else ConeDynamics.UNSTABLE_FOCUS
 
 
-def classify_dynamics(
-    system: PwlSystem, cone: ConeSolution, center_tol: float = CENTER_TOL
-) -> ConeDynamics:
+def classify_dynamics(system: PwlSystem, cone: ConeSolution) -> ConeDynamics:
     """Radial dynamics on a cone: center / stable focus / unstable focus.
 
     Generic cones use the full-revolution radial factor at the cone's phase
@@ -299,7 +303,7 @@ def classify_dynamics(
         rm1 = _trivial_rm1(system)
     else:
         rm1 = _expm1_capped(return_log_ratio(system, cone.tau_minus, cone.tau_plus))
-    return _classify_rm1(rm1, center_tol)
+    return _classify_rm1(rm1)
 
 
 def _slope_scale(system: PwlSystem) -> float:
@@ -332,14 +336,7 @@ def _cramer_step(a: float, b: float, c: float, d: float, f0: float, f1: float):
 def _newton_refine(system, tm, tp, bounds, target):
     em, ep = system.minus.eigen, system.plus.eigen
     (lo_m, hi_m, lo_p, hi_p) = bounds
-
-    def res(a, b):
-        return (
-            exit_slope(ep, b) - entry_slope(em, a),
-            entry_slope(ep, b) - exit_slope(em, a),
-        )
-
-    f = res(tm, tp)
+    f = _slope_residuals(em, ep, tm, tp)
     smin_ratio = math.inf
     for _ in range(_NEWTON_ITERS):
         if not all(map(math.isfinite, f)):
@@ -367,7 +364,7 @@ def _newton_refine(system, tm, tp, bounds, target):
             if cm == tm and cp == tp:
                 break  # every further halving lands on the same point
             if lo_m < cm < hi_m and lo_p < cp < hi_p:
-                fc = res(cm, cp)
+                fc = _slope_residuals(em, ep, cm, cp)
                 if all(map(math.isfinite, fc)) and max(abs(fc[0]), abs(fc[1])) < size:
                     tm, tp, f = cm, cp, fc
                     moved = True
@@ -451,14 +448,7 @@ def _candidate_cells(u0, u1, v1, v2) -> tuple[np.ndarray, np.ndarray]:
     return np.divmod(np.sort(i[inside] * cols + j[inside]), cols)
 
 
-def solve_invariant_cones(
-    system: PwlSystem,
-    *,
-    grid: int = GRID_DEFAULT,
-    residual_target: float = RESIDUAL_TARGET,
-    center_tol: float = CENTER_TOL,
-    degeneracy_tol: float = DEGENERACY_TOL,
-) -> ConeFindings:
+def solve_invariant_cones(system: PwlSystem, *, grid: int = GRID_DEFAULT) -> ConeFindings:
     """Locate all invariant cones of the two-zone system.
 
     Isolated cones come from a sign-structure scan of the two slope-matching
@@ -471,17 +461,10 @@ def solve_invariant_cones(
     appended whenever the real eigenvalues agree.  Results are sorted by
     phase pair, so the outcome does not depend on scan order.
 
-    Raises :class:`MalformedInput` unless ``grid`` is an integer >= 2,
-    ``residual_target`` is finite and positive, and both tolerances are
-    finite and nonnegative.
+    Raises :class:`MalformedInput` unless ``grid`` is an integer >= 2.
     """
     if not isinstance(grid, (int, np.integer)) or grid < 2:
         raise MalformedInput(f"grid must be an integer >= 2, got {grid!r}")
-    if not (math.isfinite(residual_target) and residual_target > 0.0):
-        raise MalformedInput(f"residual_target must be finite and > 0, got {residual_target!r}")
-    for name, tol in (("center_tol", center_tol), ("degeneracy_tol", degeneracy_tol)):
-        if not (math.isfinite(tol) and tol >= 0.0):
-            raise MalformedInput(f"{name} must be finite and >= 0, got {tol!r}")
     em, ep = system.minus.eigen, system.plus.eigen
     thm = tau_hat(em.gamma).tau
     thp = tau_hat(ep.gamma).tau
@@ -496,7 +479,7 @@ def solve_invariant_cones(
         tps = np.linspace(ins_p, thp - ins_p, grid)
         u0, u1, v1, v2 = passage_slope_rows((em, ep), (tms, tps))
         cells = _candidate_cells(u0, u1, v1, v2)
-        target = residual_target * _slope_scale(system)
+        target = RESIDUAL_TARGET * _slope_scale(system)
         bounds = (1e-12 * thm, thm * (1.0 - 1e-12), 1e-12 * thp, thp * (1.0 - 1e-12))
         roots: list[tuple[float, float]] = []
         for i, j in zip(*cells):
@@ -510,7 +493,7 @@ def solve_invariant_cones(
             if any(abs(tm - a) < DEDUPE_TOL and abs(tp - b) < DEDUPE_TOL for a, b in roots):
                 continue
             roots.append((tm, tp))
-            if smin_ratio < degeneracy_tol:
+            if smin_ratio < DEGENERACY_TOL:
                 findings.degenerate_pairs.append((tm, tp))
                 continue
             rm1 = _expm1_capped(return_log_ratio(system, tm, tp))
@@ -522,7 +505,7 @@ def solve_invariant_cones(
                     u1=float(exit_slope(em, tm)),
                     return_ratio=1.0 + rm1,
                     kind=ConeKind.NON_TRIVIAL,
-                    dynamics=_classify_rm1(rm1, center_tol),
+                    dynamics=_classify_rm1(rm1),
                 )
             )
 
@@ -536,7 +519,7 @@ def solve_invariant_cones(
                 u1=em.lam,
                 return_ratio=1.0 + rm1,
                 kind=ConeKind.TRIVIAL,
-                dynamics=_classify_rm1(rm1, center_tol),
+                dynamics=_classify_rm1(rm1),
             )
         )
 
@@ -561,32 +544,24 @@ def slope_map_multiplier(system: PwlSystem, tau_minus: float, tau_plus: float) -
     """
     _check_pair(system, tau_minus, tau_plus)
     em, ep = system.minus.eigen, system.plus.eigen
-    s_minus = exit_slope_deriv(em, tau_minus) / entry_slope_deriv(em, tau_minus)
-    s_plus = exit_slope_deriv(ep, tau_plus) / entry_slope_deriv(ep, tau_plus)
+    s_minus = _ieee_divide(exit_slope_deriv(em, tau_minus), entry_slope_deriv(em, tau_minus))
+    s_plus = _ieee_divide(exit_slope_deriv(ep, tau_plus), entry_slope_deriv(ep, tau_plus))
     return float(s_minus * s_plus)
 
 
-def analyze_system(
-    system: PwlSystem,
-    *,
-    grid: int = GRID_DEFAULT,
-    residual_target: float = RESIDUAL_TARGET,
-    center_tol: float = CENTER_TOL,
-    degeneracy_tol: float = DEGENERACY_TOL,
-) -> ExistenceReport:
+def _ieee_divide(num: float, den: float) -> float:
+    """num / den, and where den is +/-0 the IEEE quotient instead of an
+    exception: +/-inf by the signs of both, NaN for 0/0 (a flat entry slope)."""
+    return num / den if den != 0.0 else num * math.copysign(math.inf, den)
+
+
+def analyze_system(system: PwlSystem, *, grid: int = GRID_DEFAULT) -> ExistenceReport:
     """Full existence analysis: solve for cones, classify, screen, annotate."""
-    findings = solve_invariant_cones(
-        system,
-        grid=grid,
-        residual_target=residual_target,
-        center_tol=center_tol,
-        degeneracy_tol=degeneracy_tol,
-    )
+    findings = solve_invariant_cones(system, grid=grid)
     em, ep = system.minus.eigen, system.plus.eigen
     screen = necessary_screen(system)
-    periodic = any(c.dynamics is ConeDynamics.CENTER for c in findings.cones) or (
-        findings.family is not None and findings.family.dynamics is ConeDynamics.CENTER
-    )
+    # a family comes with the trivial cone, whose dynamics it shares
+    periodic = any(c.dynamics is ConeDynamics.CENTER for c in findings.cones)
 
     lines = [f"necessary screen: {screen.value}"]
     if findings.family is not None:
@@ -603,7 +578,7 @@ def analyze_system(
             _dlog_g(em.gamma, cone.tau_minus) + em.lam / em.beta,
             _dlog_g(ep.gamma, cone.tau_plus) + ep.lam / ep.beta,
         )
-        sens = grad * residual_target * _slope_scale(system)
+        sens = grad * RESIDUAL_TARGET * _slope_scale(system)
         mult = slope_map_multiplier(system, cone.tau_minus, cone.tau_plus)
         lines.append(
             f"{cone.kind.value} cone at ({cone.tau_minus:.9g}, {cone.tau_plus:.9g}): "

@@ -47,9 +47,9 @@ class NonPositiveBeta(PwlError):
 
 
 class MalformedInput(PwlError):
-    """A system-spec document does not match the JSON schema, or an option
-    value (a grid size, a tolerance, a time or sample budget) is out of its
-    range."""
+    """A system-spec document does not match the JSON schema, an option
+    value (a grid size, a time or sample budget) is out of its range, or a
+    command line does not parse."""
 
 
 class TraceAborted(PwlError):

@@ -28,6 +28,7 @@ from .model import EigenTriple, PwlSystem
 
 SIN_FLOOR = 1e-12
 SELF_CHECK_TOL = 1e-9
+ANGLE_MARGIN = 0.05  # of each subinterval, in sample_admissible_angles
 
 
 def _sign(x: float) -> int:
@@ -205,11 +206,11 @@ def example_system(which: int) -> PwlSystem:
 
 
 def sample_admissible_angles(
-    gamma: float, k: float, c: float, rng: np.random.Generator, margin: float = 0.05
+    gamma: float, k: float, c: float, rng: np.random.Generator
 ) -> tuple[float, float]:
     """Draw a uniformly random admissible phase pair for the given design
-    parameters, keeping ``margin`` (as a fraction of each subinterval) away
-    from the endpoints 0, pi and the interval's upper bound."""
+    parameters, keeping ``ANGLE_MARGIN`` (as a fraction of each subinterval)
+    away from the endpoints 0, pi and the interval's upper bound."""
     if c == 0.0 or gamma == 0.0:
         raise AngleRegionViolation("admissible angles need gamma != 0 and c != 0")
     thm = tau_hat(k * gamma).tau
@@ -218,7 +219,7 @@ def sample_admissible_angles(
 
     def draw(th: float, want_positive_sin: bool) -> float:
         lo, hi = (0.0, math.pi) if want_positive_sin else (math.pi, th)
-        pad = margin * (hi - lo)
+        pad = ANGLE_MARGIN * (hi - lo)
         return float(rng.uniform(lo + pad, hi - pad))
 
     tau_minus = draw(thm, want_sin_m > 0)

@@ -212,6 +212,46 @@ def test_analyze_rejects_out_of_range_options(option, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [["analyze", "--system", "{system}", "--grid", "2.5"], ["analyze"], ["no-such-command"], []],
+    ids=" ".join,
+)
+def test_usage_errors_exit_as_malformed_input(argv, tmp_path, capsys):
+    # argparse alone would exit with 2, the code of NotFocusType
+    sys_path = _write_ex1(tmp_path)
+    assert main([a.format(system=sys_path) for a in argv]) == 3
+    assert "error: " in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert all(flag in out for flag in ("--system", "--json", "--grid"))
+    assert "-tol" not in out and "--residual-target" not in out
+
+
+def test_analyze_flat_entry_slope_without_warning(tmp_path):
+    # the plus zone's entry slope is exactly flat at the trivial cone; its
+    # transverse multiplier once ended in a raw ZeroDivisionError
+    doc = {
+        "minus": {"lambda": -3, "alpha": 2.6793786170616363, "beta": 2.7342230241841587},
+        "plus": {"lambda": -3, "alpha": -3473444.102586655, "beta": 2.6724383368196634},
+    }
+    sys_path = tmp_path / "flat.json"
+    sys_path.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "pwlcones.cli", "analyze",
+         "--system", str(sys_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "transverse multiplier inf" in proc.stdout
+
+
+@pytest.mark.parametrize(
     "option",
     [["--samples-per-dwell", "-3"], ["--t-max", "nan"], ["--x0", "0,0,-0"]],
     ids=" ".join,

@@ -26,6 +26,7 @@ from pwlcones import (
     matching_residuals,
     necessary_screen,
     one_zone_cone_check,
+    slope_map_multiplier,
     solve_invariant_cones,
     synthesize,
     tau_hat,
@@ -35,6 +36,7 @@ from pwlcones.cones import (
     _SCAN_BLOCK,
     _candidate_cells,
     _cramer_step,
+    _ieee_divide,
     _singular_values,
     _straddles,
 )
@@ -138,7 +140,7 @@ def test_family_mode_zero_gammas_equal_lams():
 
 def test_family_equal_betas_mirror_curve():
     system = _system(0.0, 0.0, 1.3, 0.0, 0.0, 1.3)
-    fam = cone_continuum(system, n=101)
+    fam = cone_continuum(system)
     tms = fam.pairs[:, 0]
     tps = fam.pairs[:, 1]
     assert np.max(np.abs(tps - (2.0 * PI - tms))) < 1e-9
@@ -218,6 +220,34 @@ def test_classify_zero_gamma_negative_lambda_contracts():
     assert findings.family.dynamics is ConeDynamics.STABLE_FOCUS
     trivial = [c for c in findings.cones if c.kind is ConeKind.TRIVIAL][0]
     assert trivial.dynamics is ConeDynamics.STABLE_FOCUS
+
+
+def test_family_shares_the_trivial_cones_dynamics(symmetric_center):
+    # a family always comes with the trivial cone, so the report's periodic
+    # flag follows from the cones alone
+    cases = [
+        (symmetric_center, ConeDynamics.CENTER),
+        (_system(1e-12, 1e-12, 1.0, 1e-12, 1e-12, 1.3), ConeDynamics.CENTER),
+        (_system(-0.5, -0.5, 1.0, -0.5, -0.5, 1.3), ConeDynamics.STABLE_FOCUS),
+    ]
+    for system, dynamics in cases:
+        report = analyze_system(system)
+        [trivial] = report.cones
+        assert trivial.kind is ConeKind.TRIVIAL and trivial.dynamics is dynamics
+        assert report.family.dynamics is trivial.dynamics
+        assert report.periodic == (trivial.dynamics is ConeDynamics.CENTER)
+
+
+def test_multiplier_of_a_flat_entry_slope_is_ieee():
+    assert [_ieee_divide(a, b) for a, b in ((3.0, 2.0), (1.0, 0.0), (1.0, -0.0), (-2.0, 0.0))] == [
+        1.5, math.inf, -math.inf, -math.inf
+    ]
+    assert math.isnan(_ieee_divide(0.0, -0.0))
+    # the plus zone's entry slope is flat at the trivial cone: exactly 0.0
+    system = _system(
+        -3.0, 2.6793786170616363, 2.7342230241841587, -3.0, -3473444.102586655, 2.6724383368196634
+    )
+    assert slope_map_multiplier(system, PI, PI) == math.inf
 
 
 def test_necessary_screen_cases(ex1):
@@ -515,28 +545,16 @@ def test_reference_cones_at_small_and_large_grids(which, grid):
         {"grid": 0},
         {"grid": 1},
         {"grid": 256.0},
-        {"residual_target": -1.0},
-        {"residual_target": 0.0},
-        {"residual_target": math.inf},
-        {"residual_target": math.nan},
-        {"center_tol": math.nan},
-        {"center_tol": -1.0},
-        {"center_tol": math.inf},
-        {"degeneracy_tol": -1e-8},
-        {"degeneracy_tol": math.nan},
     ],
     ids=repr,
 )
 def test_solver_options_out_of_range_are_malformed(ex1, option):
-    # each of these once ended in a raw ValueError, a missed cone or a Center
-    # cone relabelled UnstableFocus
+    # each of these once ended in a raw ValueError or a missed cone
     with pytest.raises(MalformedInput):
         analyze_system(ex1, **option)
 
 
 def test_solver_options_at_their_bounds(ex1):
-    report = analyze_system(
-        ex1, grid=np.int64(2), residual_target=1e-9, center_tol=0.0, degeneracy_tol=0.0
-    )
+    report = analyze_system(ex1, grid=np.int64(2))
     assert [c.kind for c in report.cones] == [ConeKind.NON_TRIVIAL]
     assert report.cones[0].tau_minus == pytest.approx(PI / 4, abs=1e-12)
