@@ -32,10 +32,6 @@ from .errors import DomainError
 SERIES_CUTOFF = 1e-4
 SERIES_GT_CUTOFF = 2e-3
 
-# The largest |gamma| whose series term g*(g*g - 1) is finite: past it the
-# series is formed in gamma*tau, so every value below it keeps its bits.
-_SERIES_G_MAX = 5.643803094122361e102
-
 ROOT_RESIDUAL_TOL = 1e-12
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
@@ -52,36 +48,12 @@ def _scalar_or_array(value):
 
 
 def _phi_series(g, t):
-    # phi = (1+g^2) t^2 [1/2 + g t/3 + (3g^2-1) t^2/24 + g(g^2-1) t^3/30] + O(t^6)
-    return (1.0 + g * g) * t * t * (
-        0.5
-        + g * t / 3.0
-        + (3.0 * g * g - 1.0) * t * t / 24.0
-        + g * (g * g - 1.0) * t * t * t / 30.0
-    )
-
-
-def _phi_series_gt(x, t):
-    # the same series in x = g t, which stays finite where powers of g do not:
-    # (t^2 + x^2) [1/2 + x/3 + (3x^2 - t^2)/24 + x(x^2 - t^2)/30]
+    # phi = (t^2 + x^2) [1/2 + x/3 + (3x^2 - t^2)/24 + x(x^2 - t^2)/30] + O(t^6),
+    # x = g t: formed in x, it stays finite where powers of g would overflow
+    x = g * t
     return (t * t + x * x) * (
         0.5 + x / 3.0 + (3.0 * x * x - t * t) / 24.0 + x * (x * x - t * t) / 30.0
     )
-
-
-def _series(g, t):
-    """The series branch of phi: :func:`_phi_series`, or, where |g| exceeds
-    ``_SERIES_G_MAX`` and its g^3 term would overflow, :func:`_phi_series_gt`.
-    A float g gives a float; arrays g and t of one shape give an array."""
-    if isinstance(g, float):
-        return _phi_series(g, t) if abs(g) <= _SERIES_G_MAX else _phi_series_gt(g * t, t)
-    big = np.abs(g) > _SERIES_G_MAX
-    if not big.any():
-        return _phi_series(g, t)
-    out = np.empty(g.shape)
-    out[~big] = _phi_series(g[~big], t[~big])
-    out[big] = _phi_series_gt(g[big] * t[big], t[big])
-    return out
 
 
 def _phi_closed(g, t):
@@ -114,7 +86,7 @@ def phi(gamma, tau):
     past = finite & (x > _LOG_FLOAT_MAX)
     direct = ~small & ~past
     out = np.empty(g.shape)
-    out[small] = _series(g[small], t[small])
+    out[small] = _phi_series(g[small], t[small])
     with np.errstate(over="ignore"):  # only gamma*exp(gamma*tau) can pass DBL_MAX here
         out[direct] = _phi_closed(g[direct], t[direct])
     past |= finite & np.isinf(out)
@@ -151,7 +123,7 @@ def phi_scaled(gamma, tau):
         if x > _LOG_FLOAT_MAX:
             return math.inf
         if abs(t) < SERIES_CUTOFF and abs(x) < SERIES_GT_CUTOFF:
-            return _series(g, t) * float(np.exp(x))
+            return _phi_series(g, t) * float(np.exp(x))
         s = math.sin(0.5 * t)
         return float(np.expm1(x)) + 2.0 * (s * s) + g * math.sin(t)
     g, t = np.broadcast_arrays(np.asarray(gamma, dtype=float), np.asarray(tau, dtype=float))
@@ -161,7 +133,7 @@ def phi_scaled(gamma, tau):
     in_range = ~(x > _LOG_FLOAT_MAX)
     small = in_range & (np.abs(t) < SERIES_CUTOFF) & (np.abs(x) < SERIES_GT_CUTOFF)
     direct = in_range & ~small
-    out[small] = _series(g[small], t[small]) * np.exp(x[small])
+    out[small] = _phi_series(g[small], t[small]) * np.exp(x[small])
     gd, td = g[direct], t[direct]
     out[direct] = np.expm1(x[direct]) + 2.0 * np.sin(0.5 * td) ** 2 + gd * np.sin(td)
     return out if out.ndim else float(out)

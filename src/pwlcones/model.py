@@ -206,6 +206,8 @@ class ZoneSpec:
         if not np.array_equal(a, expected):
             raise ValueError("zone matrix deviates from the companion pattern")
         v = invariant_line(self.eigen)
+        # scaled by a power of two, exactly, so that its norms stay finite
+        v = np.ldexp(v, -math.frexp(float(np.abs(v).max()))[1])
         resid = np.linalg.norm(a @ v - self.eigen.lam * v)
         scale = np.linalg.norm(v) * max(1.0, abs(self.eigen.lam), np.abs(a).max())
         if resid > EIGENVECTOR_RTOL * scale:
@@ -250,9 +252,13 @@ class PwlSystem:
 
 
 def _char_coeffs(a: np.ndarray) -> CanonicalCoeffs:
-    tr = float(np.trace(a))
-    second = 0.5 * (tr * tr - float(np.trace(a @ a)))
-    det = float(np.linalg.det(a))
+    # numpy's det is sign*exp(log|det|), which takes log(0) on an exactly
+    # singular or underflowing pivot; past the float range the coefficients
+    # are inf or NaN, which CanonicalCoeffs rejects
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        tr = float(np.trace(a))
+        second = 0.5 * (tr * tr - float(np.trace(a @ a)))
+        det = float(np.linalg.det(a))
     return CanonicalCoeffs(delta=tr, m=second, d=det)
 
 
@@ -312,11 +318,9 @@ def canonicalize(raw_a_plus, raw_a_minus) -> PwlSystem:
             raise NotContinuous(
                 f"pair does not admit a shared canonical transform (residual {resid:.3e})"
             )
-    # the coefficients come from the raw pair: numpy's det is exp(log|det|),
-    # which does not commute with the scaling; past the float range they are
-    # inf or NaN, which CanonicalCoeffs rejects
-    with np.errstate(over="ignore", invalid="ignore"):
-        return PwlSystem.from_coeffs(minus=_char_coeffs(am), plus=_char_coeffs(ap))
+    # the coefficients come from the raw pair: numpy's det does not commute
+    # with the scaling
+    return PwlSystem.from_coeffs(minus=_char_coeffs(am), plus=_char_coeffs(ap))
 
 
 # ---------------------------------------------------------------------------

@@ -195,7 +195,7 @@ class _ZoneScan:
         self.m = modal_matrix(eigen)
         self.rows = self.m.tolist()
         # bounds of |x| by the focus and the invariant-line terms (see _never_returns)
-        norms = np.linalg.norm(self.m, axis=0).tolist()
+        norms = [math.hypot(*column) for column in self.m.T.tolist()]
         self.k_focus, self.k_line = norms[0] + norms[1], norms[2]
         self.ts = np.linspace(0.0, self.chunk, SCAN_PER_TURN + 1)
         with np.errstate(over="ignore"):
@@ -324,6 +324,7 @@ def trace_orbit(
         t_off = 0.0
         with np.errstate(over="ignore", invalid="ignore"):
             while t_cross == math.inf and t_global + t_off < t_max:
+                # later turns built from these vectors move crossings by ulps, so they are rescanned
                 if t_off == 0.0:
                     ts = scan.ts
                     x1 = _x1_of(coeffs, *scan.factors)

@@ -251,6 +251,41 @@ def test_analyze_flat_entry_slope_without_warning(tmp_path):
     assert "transverse multiplier inf" in proc.stdout
 
 
+_DET_MINUS = [
+    [1.2258514076896303e-65, 1.0, 7.913867098147273e+299],
+    [-3.082755157386491e-62, -5.508771799703885e-186, 1.6979147075784482e+234],
+    [1.2955154788577893e-07, 1e+308, 5.293587796089948e+239],
+]
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        # the spec check's eigenvector norms overflowed, then the trace's modal column norms
+        {"minus": {"lambda": -1, "alpha": 1e100, "beta": 1},
+         "plus": {"lambda": -1, "alpha": 1e100, "beta": 1}},
+        {"minus": {"lambda": 5e-324, "alpha": -4.5e118, "beta": 2},
+         "plus": {"lambda": -1, "alpha": 1, "beta": 1}},
+        # the power-of-two-scaled pair's determinant took the log of a zero pivot
+        {"A_minus": _DET_MINUS,
+         "A_plus": [[first] + row[1:] for first, row in
+                    zip((-5e-324, 8.647331958379129e-223, -5.07503931535645e-60), _DET_MINUS)]},
+    ],
+    ids=["alpha-1e100", "alpha-4.5e118", "singular-scaled-det"],
+)
+def test_specs_near_the_float_range_load_without_warning(doc, tmp_path):
+    sys_path = tmp_path / "spec.json"
+    sys_path.write_text(json.dumps(doc))
+    for argv in (["analyze"], ["simulate", "--x0", "0,1,1", "--crossings", "4", "--t-max", "50"]):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "pwlcones.cli", *argv,
+             "--system", str(sys_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode in (0, 2, 3), proc.stderr
+
+
 @pytest.mark.parametrize(
     "option",
     [["--samples-per-dwell", "-3"], ["--t-max", "nan"], ["--x0", "0,0,-0"]],

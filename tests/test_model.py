@@ -1,8 +1,11 @@
 """System types, spectrum/coefficient conversions, canonicalization, JSON."""
 
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pwlcones import (
     CanonicalCoeffs,
@@ -12,6 +15,8 @@ from pwlcones import (
     NotContinuous,
     NotFocusType,
     NotObservable,
+    PwlError,
+    PwlSystem,
     ZoneSpec,
     canonicalize,
     coeffs_from_eigen,
@@ -331,6 +336,47 @@ def test_system_from_json_raw_matrices(ex1):
 def test_system_from_json_rejects_malformed(doc):
     with pytest.raises(MalformedInput):
         system_from_json(doc)
+
+
+# hypothesis' own floats favour a few magnitudes; a mantissa times a power of
+# two spreads them evenly over the exponents, subnormal to near DBL_MAX
+_FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(math.ldexp, st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+              st.integers(-1074, 1024)),
+)
+
+
+def _zone_docs(keys):
+    return st.tuples(_FINITE, _FINITE, _FINITE).map(lambda values: dict(zip(keys, values)))
+
+
+@st.composite
+def _matrix_docs(draw):
+    # the pair shares its second and third columns, so most documents get
+    # past the continuity check to the scaled checks and the coefficients
+    shared = [draw(st.lists(_FINITE, min_size=2, max_size=2)) for _ in range(3)]
+    first_minus, first_plus = (draw(st.lists(_FINITE, min_size=3, max_size=3)) for _ in range(2))
+    return {
+        "A_minus": [[first_minus[i]] + shared[i] for i in range(3)],
+        "A_plus": [[first_plus[i]] + shared[i] for i in range(3)],
+    }
+
+
+_ZONE_DOCS = st.one_of(_zone_docs(("delta", "m", "d")), _zone_docs(("lambda", "alpha", "beta")))
+_SPEC_DOCS = st.one_of(st.fixed_dictionaries({"minus": _ZONE_DOCS, "plus": _ZONE_DOCS}), _matrix_docs())
+
+
+@settings(max_examples=200)
+@given(_SPEC_DOCS)
+def test_system_from_json_is_total_on_finite_numbers(doc):
+    # every finite document gives a system or a PwlError; a RuntimeWarning
+    # is an error under the suite's warning filter
+    try:
+        system = system_from_json(doc)
+    except PwlError:
+        return
+    assert isinstance(system, PwlSystem)
 
 
 def test_json_reports_not_focus_type_distinctly():
