@@ -271,7 +271,8 @@ def invert_entry_slope(eigen: EigenTriple, slope: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class HalfMapResult:
-    """One resolved half-plane passage."""
+    """One resolved half-plane passage; ``exit_point`` is read-only and has
+    x1 = 0 exactly."""
 
     tau: float
     dwell_time: float
@@ -279,14 +280,6 @@ class HalfMapResult:
     exit_slope: float
     radial_ratio: float
     exit_point: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.exit_point, dtype=float)
-        if abs(p[0]) > PLANE_ATOL * max(1.0, float(np.linalg.norm(p))):
-            raise ValueError("exit point must lie on the separation plane")
-        obj = p.copy()
-        obj.setflags(write=False)
-        object.__setattr__(self, "exit_point", obj)
 
 
 def _zone_of(system: PwlSystem, side: ZoneSide):
@@ -303,7 +296,7 @@ def half_map(side: ZoneSide, system: PwlSystem, point) -> HalfMapResult:
     p = np.asarray(point, dtype=float)
     if p.shape != (3,):
         raise WrongHalfPlane("point must be a 3-vector on the separation plane")
-    if abs(p[0]) > PLANE_ATOL * max(1.0, float(np.linalg.norm(p))):
+    if abs(p[0]) > PLANE_ATOL * max(1.0, math.hypot(*p)):
         raise WrongHalfPlane(f"point must lie on x1 = 0 (got x1={p[0]!r})")
     y, z = float(p[1]), float(p[2])
     if side is ZoneSide.MINUS and not y > 0.0:
@@ -317,13 +310,15 @@ def half_map(side: ZoneSide, system: PwlSystem, point) -> HalfMapResult:
     out_slope = exit_slope(eigen, tau)
     ratio = radial_ratio(eigen, tau)
     y_out = ratio * y
+    exit_point = np.array([0.0, y_out, out_slope * y_out])
+    exit_point.setflags(write=False)
     return HalfMapResult(
         tau=tau,
         dwell_time=tau / eigen.beta,
         entry_slope=slope,
         exit_slope=out_slope,
         radial_ratio=ratio,
-        exit_point=np.array([0.0, y_out, out_slope * y_out]),
+        exit_point=exit_point,
     )
 
 

@@ -7,18 +7,21 @@ A two-zone system is stored in the companion shape
      [d,      0,  0]]
 
 per zone, where (delta, m, d) are the coefficients of the characteristic
-polynomial  x^3 - delta*x^2 + m*x - d.  Both zones share the second and
-third columns by construction, which is exactly the continuity requirement
-across the separation plane x1 = 0.  Every zone handled here has one real
-eigenvalue ``lam`` and a complex pair ``alpha +/- beta*j`` with beta > 0;
-anything else raises :class:`~pwlcones.errors.NotFocusType`.
+polynomial  x^3 - delta*x^2 + m*x - d.  Every zone fact is derived from one
+input: a zone is given by its coefficients or by its spectrum, and the shape
+ratio ``gamma`` and the matrix are computed from it, never supplied.  Both
+zones share the constant second and third columns, which is exactly the
+continuity requirement across the separation plane x1 = 0, so every system
+built here is continuous by construction.  Every zone handled here has one
+real eigenvalue ``lam`` and a complex pair ``alpha +/- beta*j`` with
+beta > 0; anything else raises :class:`~pwlcones.errors.NotFocusType`.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
@@ -26,7 +29,6 @@ import numpy as np
 
 from .errors import MalformedInput, NotContinuous, NotFocusType, NotObservable
 
-GAMMA_CONSISTENCY_RTOL = 1e-14
 BETA_FLOOR = 1e-12
 CONTINUITY_ATOL = 1e-12   # scaled by the pair's max-norm
 OBSERVABILITY_RTOL = 1e-12
@@ -36,30 +38,24 @@ _CUBIC_NEWTON_STEPS = 6
 
 @dataclass(frozen=True)
 class EigenTriple:
-    """One zone's spectrum and its derived shape ratio.
+    """One zone's spectrum and its shape ratio.
 
     ``gamma = (alpha - lam) / beta`` is the single dimensionless parameter
-    all passage formulas depend on.  It is derived automatically; a supplied
-    value is cross-checked against the derivation.
+    all passage formulas depend on.  It is derived, never supplied, so
+    ``dataclasses.replace`` on the spectrum derives it afresh.
     """
 
     lam: float
     alpha: float
     beta: float
-    gamma: float = None  # type: ignore[assignment]
+    gamma: float = field(init=False)
 
     def __post_init__(self):
         if not self.beta > BETA_FLOOR:
             raise NotFocusType(
                 f"imaginary part beta={self.beta!r} must exceed {BETA_FLOOR}"
             )
-        derived = (self.alpha - self.lam) / self.beta
-        if self.gamma is None:
-            object.__setattr__(self, "gamma", derived)
-        elif abs(self.gamma - derived) > GAMMA_CONSISTENCY_RTOL * max(1.0, abs(derived)):
-            raise ValueError(
-                f"stored gamma={self.gamma!r} disagrees with (alpha-lam)/beta={derived!r}"
-            )
+        object.__setattr__(self, "gamma", (self.alpha - self.lam) / self.beta)
 
 
 @dataclass(frozen=True)
@@ -192,19 +188,15 @@ def focus_plane(eigen: EigenTriple) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ZoneSpec:
-    """One zone: coefficients, spectrum, and the companion matrix."""
+    """One zone: its coefficients and spectrum, which must agree, and the
+    read-only companion matrix derived from the coefficients."""
 
     coeffs: CanonicalCoeffs
     eigen: EigenTriple
-    matrix: np.ndarray
+    matrix: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        a = np.asarray(self.matrix, dtype=float)
-        if a.shape != (3, 3):
-            raise ValueError("zone matrix must be 3x3")
-        expected = companion_matrix(self.coeffs)
-        if not np.array_equal(a, expected):
-            raise ValueError("zone matrix deviates from the companion pattern")
+        a = companion_matrix(self.coeffs)
         v = invariant_line(self.eigen)
         # scaled by a power of two, exactly, so that its norms stay finite
         v = np.ldexp(v, -math.frexp(float(np.abs(v).max()))[1])
@@ -212,35 +204,27 @@ class ZoneSpec:
         scale = np.linalg.norm(v) * max(1.0, abs(self.eigen.lam), np.abs(a).max())
         if resid > EIGENVECTOR_RTOL * scale:
             raise ValueError("spectrum does not match the zone matrix")
-        obj = a.copy()
-        obj.setflags(write=False)
-        object.__setattr__(self, "matrix", obj)
+        object.__setattr__(self, "matrix", a)
 
     @classmethod
     def from_eigen(cls, eigen: EigenTriple) -> "ZoneSpec":
-        coeffs = coeffs_from_eigen(eigen)
-        return cls(coeffs=coeffs, eigen=eigen, matrix=companion_matrix(coeffs))
+        return cls(coeffs=coeffs_from_eigen(eigen), eigen=eigen)
 
     @classmethod
     def from_coeffs(cls, coeffs: CanonicalCoeffs) -> "ZoneSpec":
-        return cls(coeffs=coeffs, eigen=eigen_from_coeffs(coeffs), matrix=companion_matrix(coeffs))
+        return cls(coeffs=coeffs, eigen=eigen_from_coeffs(coeffs))
 
 
 @dataclass(frozen=True, eq=False)
 class PwlSystem:
     """The two-zone system: ``minus`` governs x1 < 0, ``plus`` governs x1 >= 0.
 
-    In companion shape the zones share their second and third columns
-    automatically; the constructor asserts it anyway since downstream
-    continuity arguments lean on it.
+    Continuous by construction: both zone matrices are in companion shape,
+    so they share their second and third columns.
     """
 
     minus: ZoneSpec
     plus: ZoneSpec
-
-    def __post_init__(self):
-        if not np.array_equal(self.minus.matrix[:, 1:], self.plus.matrix[:, 1:]):
-            raise NotContinuous("zone matrices must share their second and third columns")
 
     @classmethod
     def from_eigen(cls, minus: EigenTriple, plus: EigenTriple) -> "PwlSystem":

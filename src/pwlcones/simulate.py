@@ -386,8 +386,8 @@ def trace_orbit(
 
 def closure_check(system: PwlSystem, cone) -> float:
     """Geometric closure of a solved cone: start at (0, 1, u0), run both
-    passages with the exact flow, return the gap to the starting point.
-    Center cones must land below 1e-7 here."""
+    passages with the exact flow, return the gap to the starting point (the
+    trace's ``closure_residual``).  Center cones must land below 1e-7 here."""
     x0 = np.array([0.0, 1.0, float(cone.u0)])
     trace = trace_orbit(system, x0, max_crossings=2, t_max=1e12)
     if len(trace.crossings) < 2:
@@ -395,7 +395,7 @@ def closure_check(system: PwlSystem, cone) -> float:
             f"cone orbit produced {len(trace.crossings)} crossings, expected 2 "
             f"(termination {trace.termination!r})"
         )
-    return float(np.linalg.norm(trace.crossings[-1].point - x0))
+    return trace.closure_residual
 
 
 def trace_summary(trace: OrbitTrace) -> dict:

@@ -93,8 +93,6 @@ class SynthesisOutput:
     system: PwlSystem
     eigen_minus: EigenTriple
     eigen_plus: EigenTriple
-    delta_value: float | None
-    nabla_value: float | None
 
 
 def _solve_rates(inp: SynthesisInput) -> tuple[float, float, float]:
@@ -138,7 +136,7 @@ def synthesize(inp: SynthesisInput) -> SynthesisOutput:
     ``SELF_CHECK_TOL`` (scaled), otherwise construction fails loudly.
     """
     c, tm, tp = inp.c, inp.tau_minus, inp.tau_plus
-    delta, beta_m, beta_p = _solve_rates(inp)
+    _, beta_m, beta_p = _solve_rates(inp)
     if not (beta_m > 0.0 and beta_p > 0.0):
         raise NonPositiveBeta(
             f"construction produced beta_minus={beta_m!r}, beta_plus={beta_p!r}"
@@ -155,13 +153,7 @@ def synthesize(inp: SynthesisInput) -> SynthesisOutput:
         raise PwlError(
             f"synthesized system fails its own matching conditions (residual {resid:.3e})"
         )
-    return SynthesisOutput(
-        system=system,
-        eigen_minus=eigen_m,
-        eigen_plus=eigen_p,
-        delta_value=delta,
-        nabla_value=nabla,
-    )
+    return SynthesisOutput(system=system, eigen_minus=eigen_m, eigen_plus=eigen_p)
 
 
 def synthesize_balanced(
@@ -180,8 +172,6 @@ def synthesize_balanced(
         system=PwlSystem.from_eigen(minus=eigen_m, plus=eigen_p),
         eigen_minus=eigen_m,
         eigen_plus=eigen_p,
-        delta_value=None,
-        nabla_value=None,
     )
 
 

@@ -263,6 +263,41 @@ def test_half_map_rejects_bad_points(symmetric_center):
         half_map(ZoneSide.MINUS, symmetric_center, [0.5, 1.0, 0.0])
 
 
+def _far_off_plane(ex1):
+    return ex1, (1e200, 1e-12, 0.0)
+
+
+def _far_on_plane(ex1):
+    return ex1, (0.0, 1e200, 1e200 * entry_slope(ex1.minus.eigen, 0.7))
+
+
+def _large_exit_point(ex1):
+    system = PwlSystem.from_eigen(
+        EigenTriple(-14.623007655412646, 33.707276100603686, 0.22171222976978588),
+        EigenTriple(40.009605192207296, 32.64262240312389, 1.9935794012820174),
+    )
+    return system, (0.0, 0.5624943938490351, -106.77959986907487)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "case, on_plane",
+    [(_large_exit_point, True), (_far_on_plane, True), (_far_off_plane, False)],
+    ids=["large_exit_point", "far_on_plane", "far_off_plane"],
+)
+def test_half_map_plane_test_at_large_norms(ex1, case, on_plane):
+    # the plane test scales its tolerance by |p| without overflowing, so a
+    # far point is judged by its x1, and a far exit point needs no norm
+    system, point = case(ex1)
+    if not on_plane:
+        with pytest.raises(WrongHalfPlane):
+            half_map(ZoneSide.MINUS, system, point)
+        return
+    res = half_map(ZoneSide.MINUS, system, point)
+    assert res.exit_point[0] == 0.0
+    assert not res.exit_point.flags.writeable
+
+
 def test_slope_transition_center_fixed_point(symmetric_center):
     assert slope_transition(ZoneSide.MINUS, symmetric_center, 0.0) == pytest.approx(
         0.0, abs=1e-12

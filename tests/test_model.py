@@ -1,5 +1,6 @@
 """System types, spectrum/coefficient conversions, canonicalization, JSON."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -39,10 +40,13 @@ EX1_PLUS_COEFFS = (-0.5542, 0.1349, -0.0203)
 
 def test_eigen_triple_derives_gamma():
     e = EigenTriple(lam=-10.3322, alpha=-7.1060, beta=3.2259)
-    assert e.gamma == pytest.approx((e.alpha - e.lam) / e.beta, rel=1e-15)
-    with pytest.raises(ValueError):
-        EigenTriple(lam=0.0, alpha=1.0, beta=1.0, gamma=0.5)
-    EigenTriple(lam=0.0, alpha=1.0, beta=1.0, gamma=1.0)  # consistent value ok
+    assert e.gamma == (e.alpha - e.lam) / e.beta
+    with pytest.raises(TypeError):
+        EigenTriple(lam=0.0, alpha=1.0, beta=1.0, gamma=1.0)  # derived, never supplied
+    # replacing part of the spectrum derives gamma afresh
+    moved = dataclasses.replace(EigenTriple(-1.0, 0.5, 2.0), lam=0.0)
+    assert moved == EigenTriple(0.0, 0.5, 2.0)
+    assert moved.gamma == 0.25
 
 
 def test_eigen_triple_requires_positive_beta():
@@ -191,16 +195,29 @@ def test_focus_plane_is_flow_invariant():
 
 def test_zone_spec_validates_pattern():
     coeffs = CanonicalCoeffs(0.0, 1.0, 0.0)
-    bad = companion_matrix(coeffs).copy()
-    bad[2, 2] = 1.0
     with pytest.raises(ValueError):
-        ZoneSpec(coeffs=coeffs, eigen=EigenTriple(0.0, 0.0, 1.0), matrix=bad)
-    with pytest.raises(ValueError):
-        ZoneSpec(
-            coeffs=coeffs,
-            eigen=EigenTriple(1.0, 1.0, 2.0),  # spectrum of a different zone
-            matrix=companion_matrix(coeffs),
-        )
+        # spectrum of a different zone
+        ZoneSpec(coeffs=coeffs, eigen=EigenTriple(1.0, 1.0, 2.0))
+
+
+_FOCUS_ZONES = st.builds(
+    EigenTriple,
+    lam=st.floats(-2.0, 2.0),
+    alpha=st.floats(-2.0, 2.0),
+    beta=st.floats(0.3, 2.0),
+)
+
+
+@given(_FOCUS_ZONES, _FOCUS_ZONES)
+def test_systems_are_continuous_by_construction(em, ep):
+    # the invariant the constructor no longer checks: both zone matrices are
+    # the read-only companion matrices of their coefficients, so they share
+    # their second and third columns bit for bit
+    system = PwlSystem.from_eigen(minus=em, plus=ep)
+    for zone in (system.minus, system.plus):
+        assert not zone.matrix.flags.writeable
+        assert np.array_equal(zone.matrix, companion_matrix(zone.coeffs))
+    assert np.array_equal(system.minus.matrix[:, 1:], system.plus.matrix[:, 1:])
 
 
 def test_canonicalize_identity_on_canonical_input(ex1):
