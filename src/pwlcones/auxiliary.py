@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, MalformedInput
 
 # Below this |tau| the direct formula loses roughly eight digits to
 # cancellation, so a fifth-order series takes over; the series is truncated
@@ -220,8 +220,11 @@ def tau_hat(gamma: float) -> PhiRoot:
     result stays strictly inside (pi, 2*pi): for |gamma| below about 1e-31
     the zero, near 2*pi - sqrt(4*pi*|gamma|), rounds to 2*pi and the float
     just below 2*pi is returned; for |gamma| above about 1e16 the zero, near
-    pi + 1/|gamma|, rounds to pi and the float just above pi is returned."""
+    pi + 1/|gamma|, rounds to pi and the float just above pi is returned,
+    also for gamma = +/-inf.  A NaN gamma raises :class:`MalformedInput`."""
     g = abs(float(gamma))
+    if math.isnan(g):
+        raise MalformedInput("gamma must be a number, got nan")
     if g == 0.0:
         return PhiRoot(gamma=float(gamma), tau=2.0 * math.pi)
 

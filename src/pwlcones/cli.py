@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -46,6 +47,8 @@ def _fmt_matrix(a) -> str:
 
 
 def _cmd_phi(args) -> int:
+    if not (math.isfinite(args.gamma) and math.isfinite(args.tau)):
+        raise MalformedInput(f"--gamma and --tau must be finite, got {args.gamma!r}, {args.tau!r}")
     print(repr(phi(args.gamma, args.tau)))
     return EXIT_OK
 

@@ -49,7 +49,6 @@ _SCAN_BLOCK = 16  # cells per side of a block in the pre-screen of the cone scan
 class ConeKind(Enum):
     TRIVIAL = "Trivial"
     NON_TRIVIAL = "NonTrivial"
-    FAMILY = "Family"
 
 
 class ConeDynamics(Enum):
@@ -131,9 +130,13 @@ class OneZoneCone:
 class ExistenceReport:
     cones: list[ConeSolution]
     family: ConeFamily | None
-    periodic: bool
     necessary_screen: ScreenResult
     notes: str
+
+    @property
+    def periodic(self) -> bool:
+        """Whether some cone is a center (a family shares the trivial cone's)."""
+        return any(c.dynamics is ConeDynamics.CENTER for c in self.cones)
 
     def to_json(self) -> dict:
         return {
@@ -242,8 +245,9 @@ def cone_continuum(system: PwlSystem) -> ConeFamily:
 def one_zone_cone_check(eigen: EigenTriple) -> OneZoneCone:
     """Single-matrix criterion: the zone flow returns every plane-crossing
     ray to itself after a full turn iff the shape ratio vanishes (the real
-    eigenvalue equals the spiral's real part).  The witness is the
-    x1 displacement factor after one full turn,
+    eigenvalue equals the spiral's real part); ``exists`` takes it as
+    vanishing within ``GAMMA_ZERO_ATOL``, as the solver does.  The witness
+    is the x1 displacement factor after one full turn,
     exp(2 pi alpha/beta) (1 - exp(2 pi gamma)) / (beta^2 (1 + gamma^2)),
     which is zero exactly at gamma = 0.  It is formed in log form and is
     +/-inf where its magnitude exceeds the float range."""
@@ -261,7 +265,7 @@ def one_zone_cone_check(eigen: EigenTriple) -> OneZoneCone:
         )
         mag = math.exp(log_mag) if log_mag < _LOG_FLOAT_MAX else math.inf
         witness = -math.copysign(mag, g)
-    return OneZoneCone(exists=abs(g) < 1e-9, witness_residual=witness)
+    return OneZoneCone(exists=abs(g) <= GAMMA_ZERO_ATOL, witness_residual=witness)
 
 
 def necessary_screen(system: PwlSystem) -> ScreenResult:
@@ -560,8 +564,6 @@ def analyze_system(system: PwlSystem, *, grid: int = GRID_DEFAULT) -> ExistenceR
     findings = solve_invariant_cones(system, grid=grid)
     em, ep = system.minus.eigen, system.plus.eigen
     screen = necessary_screen(system)
-    # a family comes with the trivial cone, whose dynamics it shares
-    periodic = any(c.dynamics is ConeDynamics.CENTER for c in findings.cones)
 
     lines = [f"necessary screen: {screen.value}"]
     if findings.family is not None:
@@ -600,7 +602,6 @@ def analyze_system(system: PwlSystem, *, grid: int = GRID_DEFAULT) -> ExistenceR
     return ExistenceReport(
         cones=findings.cones,
         family=findings.family,
-        periodic=periodic,
         necessary_screen=screen,
         notes="\n".join(lines),
     )

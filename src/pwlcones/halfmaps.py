@@ -291,14 +291,17 @@ def half_map(side: ZoneSide, system: PwlSystem, point) -> HalfMapResult:
 
     The minus side accepts y > 0 (the flow enters x1 < 0 there, since
     dx1/dt = -y on the plane), the plus side accepts y < 0.  Points with
-    y = 0 sit on the tangency line and are rejected.
+    y = 0 sit on the tangency line and are rejected, and so are points with a
+    NaN or infinite coordinate.
     """
     p = np.asarray(point, dtype=float)
     if p.shape != (3,):
         raise WrongHalfPlane("point must be a 3-vector on the separation plane")
-    if abs(p[0]) > PLANE_ATOL * max(1.0, math.hypot(*p)):
-        raise WrongHalfPlane(f"point must lie on x1 = 0 (got x1={p[0]!r})")
-    y, z = float(p[1]), float(p[2])
+    x1, y, z = p.tolist()
+    if not (math.isfinite(x1) and math.isfinite(y) and math.isfinite(z)):
+        raise WrongHalfPlane(f"point must be finite, got {p.tolist()!r}")
+    if abs(x1) > PLANE_ATOL * max(1.0, math.hypot(x1, y, z)):
+        raise WrongHalfPlane(f"point must lie on x1 = 0 (got x1={x1!r})")
     if side is ZoneSide.MINUS and not y > 0.0:
         raise WrongHalfPlane(f"minus-side passage needs y > 0, got y={y!r}")
     if side is ZoneSide.PLUS and not y < 0.0:

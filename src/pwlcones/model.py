@@ -255,18 +255,21 @@ def canonicalize(raw_a_plus, raw_a_minus) -> PwlSystem:
 
     built from the minus-zone matrix (delta, m its characteristic
     coefficients).  T's first row is e1, so the plane x1 = 0 and the sign of
-    x1 -- hence the zone assignment -- are preserved exactly.  T is an
-    invertible row recombination of the observability matrix
-    [e1; e1 A; e1 A^2], so it exists precisely when the pair is observable;
-    continuity (shared second and third columns) makes the single T valid
-    for both zones, which is verified numerically before returning.
+    x1 -- hence the zone assignment -- are preserved exactly.  T is a
+    unit-triangular row recombination of the observability matrix
+    [e1; e1 A; e1 A^2], so it exists precisely when the pair is observable,
+    and then T A T^-1 is the minus companion matrix.  Continuity makes
+    A_plus - A_minus = w e1^T, and e1^T T^-1 = e1^T, so T A_plus T^-1
+    differs from it only in its first column: the plus companion matrix.
+    Hence no transform is formed; the companion forms are fixed by the
+    characteristic coefficients of the raw matrices.
 
     Scaling both matrices by s scales time by 1/s and leaves the cones
     unchanged, but the rows of the observability matrix scale like 1, s and
-    s^2.  So after the continuity check the pair is divided by 2^k, k the
-    binary exponent of its largest entry, before the observability and
-    transform checks.  The coefficients (delta, m, d) are those of the raw
-    pair; where they leave the float range, MalformedInput is raised.
+    s^2.  So after the continuity check the minus matrix is divided by 2^k,
+    k the binary exponent of the pair's largest entry, before the
+    observability check.  The coefficients (delta, m, d) are those of the
+    raw pair; where they leave the float range, MalformedInput is raised.
     """
     ap = np.asarray(raw_a_plus, dtype=float)
     am = np.asarray(raw_a_minus, dtype=float)
@@ -279,31 +282,11 @@ def canonicalize(raw_a_plus, raw_a_minus) -> PwlSystem:
             f"(max deviation {np.abs(ap[:, 1:] - am[:, 1:]).max():.3e})"
         )
     k = math.frexp(max(float(np.abs(ap).max()), float(np.abs(am).max())))[1]
-    sp, sm = np.ldexp(ap, -k), np.ldexp(am, -k)
-    e1 = np.array([1.0, 0.0, 0.0])
-    obs = np.vstack([e1, sm[0, :], (sm @ sm)[0, :]])
+    sm = np.ldexp(am, -k)
+    obs = np.vstack([[1.0, 0.0, 0.0], sm[0, :], (sm @ sm)[0, :]])
     svals = np.linalg.svd(obs, compute_uv=False)
     if svals[-1] <= OBSERVABILITY_RTOL * svals[0]:
         raise NotObservable("observability matrix of the minus zone is singular")
-
-    cm = _char_coeffs(sm)
-    cp = _char_coeffs(sp)
-    t = np.vstack(
-        [
-            e1,
-            cm.delta * e1 - sm[0, :],
-            cm.m * e1 - cm.delta * sm[0, :] + (sm @ sm)[0, :],
-        ]
-    )
-    t_inv = np.linalg.inv(t)
-    for scaled, coeffs in ((sm, cm), (sp, cp)):
-        resid = np.abs(t @ scaled @ t_inv - companion_matrix(coeffs)).max()
-        if resid > 1e-6 * max(1.0, abs(coeffs.delta), abs(coeffs.m), abs(coeffs.d)):
-            raise NotContinuous(
-                f"pair does not admit a shared canonical transform (residual {resid:.3e})"
-            )
-    # the coefficients come from the raw pair: numpy's det does not commute
-    # with the scaling
     return PwlSystem.from_coeffs(minus=_char_coeffs(am), plus=_char_coeffs(ap))
 
 

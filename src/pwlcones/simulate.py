@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -35,16 +34,13 @@ _LOG_EXP_SAFE = 700.0  # |lam t| up to this keeps exp(lam t) a normal float
 _RK4_BLOCK = 512  # states per block of rk4_flow: S^0 ... S^(_RK4_BLOCK-1)
 
 
-class CrossDir(Enum):
-    INTO_MINUS = "IntoMinus"
-    INTO_PLUS = "IntoPlus"
-
-
 @dataclass(frozen=True, eq=False)
 class Crossing:
+    """A plane crossing at time ``t``; ``zone`` is the zone it enters."""
+
     t: float
     point: np.ndarray
-    direction: CrossDir
+    zone: ZoneSide
 
 
 class TraceSamples:
@@ -280,8 +276,8 @@ def trace_orbit(
     ``t_max`` while its norm stays inside the guard (see
     :func:`_never_returns`) ends with ``termination='no_return'``, sampled
     up to that turn; without this an infinite ``t_max`` would scan forever.
-    Raises :class:`MalformedInput` for a NaN ``t_max`` or a
-    ``samples_per_dwell`` that is not an integer >= 0.
+    Raises :class:`MalformedInput` for a NaN ``t_max``, a non-finite ``x0``
+    or a ``samples_per_dwell`` that is not an integer >= 0.
     """
     if math.isnan(t_max):
         raise MalformedInput("t_max must be a number, got nan")
@@ -290,6 +286,8 @@ def trace_orbit(
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (3,):
         raise ValueError("x0 must be a 3-vector")
+    if not np.isfinite(x).all():
+        raise MalformedInput(f"x0 must be finite, got {x.tolist()!r}")
     norm0 = math.hypot(*x)
     if norm0 == 0.0:
         raise ValueError("x0 must be nonzero")
@@ -374,14 +372,13 @@ def trace_orbit(
             trace.note = f"crossing at t={t_global!r} grazes the tangency line y = 0"
             return trace
         x = np.array(point)
-        direction = CrossDir.INTO_MINUS if point[1] > 0.0 else CrossDir.INTO_PLUS
-        trace.crossings.append(Crossing(t=t_global, point=x, direction=direction))
+        zone = ZoneSide.MINUS if point[1] > 0.0 else ZoneSide.PLUS
+        trace.crossings.append(Crossing(t=t_global, point=x, zone=zone))
         if ref is not None and trace.closure_residual is None and float(np.sign(point[1])) == ref_sign:
             gap = math.hypot(*(x - ref))
             trace.closure_residual = gap
             trace.period = t_global
             trace.closed = gap <= CLOSURE_RTOL * norm0
-        zone = ZoneSide.MINUS if direction is CrossDir.INTO_MINUS else ZoneSide.PLUS
 
 
 def closure_check(system: PwlSystem, cone) -> float:
@@ -424,5 +421,5 @@ def write_trace_csv(trace: OrbitTrace, path) -> None:
         for cr in trace.crossings:
             fh.write(
                 f"# crossing t={cr.t:.17g} x=0,y={cr.point[1]:.17g},"
-                f"z={cr.point[2]:.17g} dir={cr.direction.value}\n"
+                f"z={cr.point[2]:.17g} dir=Into{cr.zone.value}\n"
             )

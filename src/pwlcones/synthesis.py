@@ -22,7 +22,7 @@ import numpy as np
 
 from .auxiliary import check_phase, log_g, tau_hat
 from .cones import matching_residuals, _slope_scale
-from .errors import AngleRegionViolation, DomainError, NonPositiveBeta, PwlError
+from .errors import AngleRegionViolation, DomainError, MalformedInput, NonPositiveBeta, PwlError
 from .halfmaps import slope_increment
 from .model import EigenTriple, PwlSystem
 
@@ -46,7 +46,8 @@ class SynthesisInput:
     The admissible phase region requires: each angle inside its zone's open
     interval, neither equal to pi, opposite signs of sin(tau_minus) and
     sin(tau_plus), and sgn(sin(tau_minus)) * sgn(gamma) = sgn(c).  Violations
-    raise :class:`AngleRegionViolation` at construction time.
+    raise :class:`AngleRegionViolation` at construction time; a NaN or
+    infinite field raises :class:`MalformedInput` before any of them.
     """
 
     gamma: float
@@ -56,6 +57,9 @@ class SynthesisInput:
     tau_plus: float
 
     def __post_init__(self):
+        fields = (self.gamma, self.k, self.c, self.tau_minus, self.tau_plus)
+        if not all(math.isfinite(v) for v in fields):
+            raise MalformedInput(f"design parameters {fields!r} must be finite")
         if not self.k > 0.0:
             raise AngleRegionViolation(f"k must be positive, got {self.k!r}")
         if self.c == 0.0:

@@ -288,7 +288,7 @@ def test_specs_near_the_float_range_load_without_warning(doc, tmp_path):
 
 @pytest.mark.parametrize(
     "option",
-    [["--samples-per-dwell", "-3"], ["--t-max", "nan"], ["--x0", "0,0,-0"]],
+    [["--samples-per-dwell", "-3"], ["--t-max", "nan"], ["--x0", "0,0,-0"], ["--x0", "nan,1,1"]],
     ids=" ".join,
 )
 def test_simulate_rejects_malformed_options(option, tmp_path, capsys):
@@ -375,6 +375,28 @@ def test_analyze_raw_matrix_entry_past_float_range(tmp_path, capsys):
     path.write_text(json.dumps({"A_minus": a_minus, "A_plus": _EX1_MATRIX}))
     assert main(["analyze", "--system", str(path)]) == 3
     capsys.readouterr()
+
+
+_ANGLES = ["--gamma", "1", "--tau-minus", "0.78", "--tau-plus", "3.9"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tau-hat", "--gamma", "nan"],
+        ["phi", "--gamma", "inf", "--tau", "1"],
+        ["phi", "--gamma", "1", "--tau", "nan"],
+        ["synthesize", *_ANGLES, "--k", "1", "--c", "inf"],
+        ["synthesize", *_ANGLES, "--k", "1", "--c", "nan"],
+        ["synthesize", *_ANGLES, "--k", "inf", "--c", "10"],
+    ],
+    ids=" ".join,
+)
+def test_non_finite_numbers_exit_3(argv, capsys):
+    # these once printed a number, warned, or ended in ZeroDivisionError or
+    # in exit 4 or 5
+    assert main(argv) == 3
+    assert "must be" in capsys.readouterr().err
 
 
 def test_phi_subcommand_past_float_range_without_warning():

@@ -155,6 +155,22 @@ def test_family_requires_structure(ex1, symmetric_center):
     cone_continuum(symmetric_center)  # applicable
 
 
+def test_near_zero_gammas_give_degenerate_roots_not_a_family():
+    # gamma = 1e-11 in both zones: no continuum, only the trivial cone, and
+    # the matching roots next to (pi, pi) are reported as degenerate
+    zone = EigenTriple(0.0, 1e-11, 1.0)
+    system = PwlSystem.from_eigen(minus=zone, plus=zone)
+    findings = solve_invariant_cones(system)
+    assert findings.family is None
+    assert [c.kind for c in findings.cones] == [ConeKind.TRIVIAL]
+    assert len(findings.degenerate_pairs) == 2
+    for tm, tp in findings.degenerate_pairs:
+        assert abs(tm - PI) < 1e-7 and abs(tp - PI) < 1e-7
+    notes = analyze_system(system).notes
+    assert notes.count("degenerate matching root") == 2
+    assert "flow alone returns" not in notes
+
+
 def test_zero_gammas_unequal_lams_yield_nothing():
     rng = np.random.default_rng(51)
     for _ in range(20):
@@ -269,6 +285,8 @@ def test_one_zone_cone_check_examples():
     assert not res.exists
     expected = math.exp(2 * PI) * (1.0 - math.exp(2 * PI)) / 2.0
     assert res.witness_residual == pytest.approx(expected, rel=1e-12)
+    # a shape ratio vanishes within the solver's GAMMA_ZERO_ATOL only
+    assert one_zone_cone_check(EigenTriple(0.0, 1e-11, 1.0)).exists is False
 
 
 def test_one_zone_full_turn_closure_for_zero_gamma():

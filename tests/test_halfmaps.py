@@ -261,6 +261,10 @@ def test_half_map_rejects_bad_points(symmetric_center):
         half_map(ZoneSide.MINUS, symmetric_center, [0.0, 0.0, 1.0])
     with pytest.raises(WrongHalfPlane):
         half_map(ZoneSide.MINUS, symmetric_center, [0.5, 1.0, 0.0])
+    # non-finite points once passed the plane test (abs(nan) > tol is false)
+    for point in ([math.nan, 1.0, 1.0], [0.0, math.inf, 1.0], [1.0, math.inf, math.nan]):
+        with pytest.raises(WrongHalfPlane):
+            half_map(ZoneSide.MINUS, symmetric_center, point)
 
 
 def _far_off_plane(ex1):

@@ -301,6 +301,23 @@ def test_canonicalize_rejects_discontinuous_pair(ex1):
         canonicalize(broken, ex1.minus.matrix)
 
 
+def test_canonicalize_needs_no_transform_residual():
+    # an observable continuous pair (observability ratio 1.48e-12) whose
+    # rounded canonical transform once failed a residual check; its
+    # coefficients come from the raw matrices either way
+    am = [
+        [8.946103461138872, -3376.942819003216, -6036.129694397491],
+        [-173.62614589187123, 822.4714589283365, 1470.1298367705542],
+        [97.1586686714859, -465.15208894968197, -831.4379267589969],
+    ]
+    ap = np.array(am)
+    ap[:, 0] = [-4.391410663469078, -0.8816607502153284, 8.86297995441576]
+    system = canonicalize(ap, am)
+    assert system.minus.coeffs.as_tuple() == (
+        -0.02036436952164422, 56.54349768456858, 0.019460703117313825
+    )
+
+
 def test_pwl_system_construction_roundtrips(ex1):
     doc = system_to_json(ex1)
     again = system_from_json(doc)

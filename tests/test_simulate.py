@@ -111,8 +111,7 @@ def test_trace_crossing_invariants(ex1):
     trace = trace_orbit(ex1, X0_REF, max_crossings=4)
     for cr in trace.crossings:
         assert cr.point[0] == 0.0
-        expected = "IntoMinus" if cr.point[1] > 0 else "IntoPlus"
-        assert cr.direction.value == expected
+        assert cr.zone is (ZoneSide.MINUS if cr.point[1] > 0 else ZoneSide.PLUS)
     # zone labels match the sign of x1 between crossings
     for t, state, zone in trace.samples:
         if state[0] < -1e-12:
