@@ -34,6 +34,7 @@ SERIES_GT_CUTOFF = 2e-3
 
 ROOT_RESIDUAL_TOL = 1e-12
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)  # 1 + g*g is finite up to this |g|
 
 
 def _finite_float(value):

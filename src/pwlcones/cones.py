@@ -15,12 +15,13 @@ the radial dynamics on every cone found.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .auxiliary import _LOG_FLOAT_MAX, check_phase, log_g, tau_hat
+from .auxiliary import _LOG_FLOAT_MAX, _SQRT_FLOAT_MAX, check_phase, log_g, tau_hat
 from .errors import MalformedInput, NotApplicable
 from .halfmaps import (
     entry_slope,
@@ -295,28 +296,16 @@ def _classify_rm1(rm1: float) -> ConeDynamics:
     return ConeDynamics.STABLE_FOCUS if rm1 < 0.0 else ConeDynamics.UNSTABLE_FOCUS
 
 
-def classify_dynamics(system: PwlSystem, cone: ConeSolution) -> ConeDynamics:
-    """Radial dynamics on a cone: center / stable focus / unstable focus.
-
-    Generic cones use the full-revolution radial factor at the cone's phase
-    pair (for zero shape ratios its growth terms vanish and it reduces to the
-    real eigenvalues); the trivial cone uses the same factor in the closed
-    form of :func:`_trivial_rm1`.
-    """
-    if cone.kind is ConeKind.TRIVIAL:
-        rm1 = _trivial_rm1(system)
-    else:
-        rm1 = _expm1_capped(return_log_ratio(system, cone.tau_minus, cone.tau_plus))
-    return _classify_rm1(rm1)
-
-
 def _slope_scale(system: PwlSystem) -> float:
-    em, ep = system.minus.eigen, system.plus.eigen
-    return max(
-        1.0,
-        abs(em.lam) + em.beta * (1.0 + em.gamma**2),
-        abs(ep.lam) + ep.beta * (1.0 + ep.gamma**2),
-    )
+    """max(1, |lam| + beta (1 + gamma^2)) over both zones: the slope
+    magnitude that the residual target and the sensitivity note scale with.
+    It is capped at DBL_MAX, also where gamma^2 passes the float range, so
+    the target stays finite."""
+    terms = [
+        abs(e.lam) + e.beta * (1.0 + e.gamma**2) if abs(e.gamma) <= _SQRT_FLOAT_MAX else math.inf
+        for e in (system.minus.eigen, system.plus.eigen)
+    ]
+    return min(max(1.0, *terms), sys.float_info.max)
 
 
 def _singular_values(a: float, b: float, c: float, d: float) -> tuple[float, float]:
@@ -399,22 +388,11 @@ def _keeps_sign(lo_u, hi_u, lo_v, hi_v) -> np.ndarray:
     return (lo_v > hi_u) | (hi_v < lo_u) | (point_v == point_u)
 
 
-def _straddles(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Mask over the grid cells (i, j) on whose four corners the residual
-    v[j'] - u[i'] (i' in {i, i+1}, j' in {j, j+1}) does not keep one sign.
-
-    The scan compares the ends of the intervals u[i:i+2] and v[j:j+2]
-    (:func:`_keeps_sign`) instead of forming the residual on the grid, so a
-    NaN corner, or an inf - inf one, makes its cell straddle.
-    """
-    lo_u, hi_u = _cell_intervals(u)
-    lo_v, hi_v = _cell_intervals(v)
-    return ~_keeps_sign(lo_u[:, None], hi_u[:, None], lo_v, hi_v)
-
-
 def _candidate_cells(u0, u1, v1, v2) -> tuple[np.ndarray, np.ndarray]:
     """Row-major (i, j) of the cells where both v2 - u0 and v1 - u1 straddle
-    zero, that is ``np.nonzero(_straddles(u0, v2) & _straddles(u1, v1))``.
+    zero: on the cell's four corners neither residual keeps one sign, as
+    :func:`_keeps_sign` judges from the ends of the cell's slope intervals
+    (:func:`_cell_intervals`).
 
     The grid is first screened in blocks of ``_SCAN_BLOCK`` x ``_SCAN_BLOCK``
     cells.  Each cell's intervals lie inside its block's hulls (the least and

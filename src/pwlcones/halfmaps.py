@@ -22,8 +22,8 @@ from enum import Enum
 
 import numpy as np
 
-from .auxiliary import (_bracket_root, _finite_float, _scalar_or_array, check_phase, g_ratio,
-                        phi_scaled, tau_hat)
+from .auxiliary import (_LOG_FLOAT_MAX, _SQRT_FLOAT_MAX, _bracket_root, _finite_float,
+                        _scalar_or_array, g_ratio, phi_scaled, tau_hat)
 from .errors import NoReturnFound, WrongHalfPlane
 from .model import EigenTriple, PwlSystem
 
@@ -126,28 +126,51 @@ def slope_increment(gamma: float, tau):
     kernel of both passage slopes: entry = lam + beta S(gamma, tau) and
     exit = lam - beta S(-gamma, tau).  With phi_scaled = phi exp(-gamma tau)
     the fraction equals (1+gamma^2) exp(gamma tau) sin(tau) / phi(gamma, tau)
-    without the overflow of strong shape ratios.  A finite 0-d tau takes a
-    Python-float path, as in phi_scaled; with an array tau, gamma may be an
-    array that broadcasts against it."""
+    without the overflow of strong shape ratios.  Past |gamma| =
+    sqrt(DBL_MAX), where 1+gamma^2 overflows, it is formed as
+    gamma (gamma sin(tau) / phi_scaled) + sin(tau) / phi_scaled instead.
+    A finite 0-d tau takes a Python-float path, as in phi_scaled; with an
+    array tau, gamma may be an array that broadcasts against it."""
     t = _finite_float(tau)
     if t is None:
-        return (1.0 + gamma * gamma) * np.sin(tau) / phi_scaled(gamma, tau)
+        st, d = np.sin(tau), phi_scaled(gamma, tau)
+        wide = np.abs(gamma) > _SQRT_FLOAT_MAX
+        if not wide.any():
+            return (1.0 + gamma * gamma) * st / d
+        g = np.where(wide, 0.0, gamma)  # squared only where it is narrow
+        return np.where(wide, gamma * (gamma * st / d) + st / d, (1.0 + g * g) * st / d)
     d = phi_scaled(gamma, t)
     # a zero divisor divides as numpy does: +/-inf or nan, with its warning
-    return (1.0 + gamma * gamma) * math.sin(t) / (d or np.float64(d))
+    d = d or np.float64(d)
+    st = math.sin(t)
+    if abs(gamma) > _SQRT_FLOAT_MAX:
+        return gamma * (gamma * st / d) + st / d
+    return (1.0 + gamma * gamma) * st / d
 
 
 def slope_increment_deriv(gamma: float, tau):
     """d S(gamma, tau) / d tau.  With D = phi_scaled(gamma, .), which satisfies
     D' = -gamma D + (1+gamma^2) sin, and q = (1+gamma^2) / D:
     S' = q (cos + gamma sin) - (q sin)^2.  Dividing by D twice, never by
-    D*D, keeps it finite where D*D would overflow."""
+    D*D, keeps it finite where D*D would overflow.
+
+    Past |gamma| = sqrt(DBL_MAX) both terms overflow.  Since
+    D = e^(-gamma tau) - cos + gamma sin, their difference equals q X with
+    X = (e^(-gamma tau) (cos + gamma sin) - 1) / D, which is formed there as
+    gamma ((gamma / D) X) + X / D, never forming q itself."""
     t = _finite_float(tau)
     if t is None:
         d, st, ct = np.asarray(phi_scaled(gamma, tau)), np.sin(tau), np.cos(tau)
     else:
         d, st, ct = phi_scaled(gamma, t), math.sin(t), math.cos(t)
         d = d or np.float64(d)  # a zero divisor divides as numpy does
+    if abs(gamma) > _SQRT_FLOAT_MAX:
+        with np.errstate(over="ignore"):  # +/-inf past the float range, as in phi_scaled
+            x = -gamma * np.asarray(tau, dtype=float)
+        # x passes log(DBL_MAX) only where D is +inf, and there e^x / D is 0
+        w = 1.0 / d
+        xd = np.exp(np.minimum(x, _LOG_FLOAT_MAX)) * w * (ct + gamma * st) - w
+        return _scalar_or_array(gamma * ((gamma * w) * xd) + w * xd)
     q = (1.0 + gamma * gamma) / d
     qs = q * st
     return q * (ct + gamma * st) - qs * qs
@@ -197,13 +220,6 @@ def entry_slope_deriv(eigen: EigenTriple, tau):
 def exit_slope_deriv(eigen: EigenTriple, tau):
     """d(exit_slope)/d(tau) = -beta S'(-gamma, tau)."""
     return _scalar_or_array(-eigen.beta * slope_increment_deriv(-eigen.gamma, tau))
-
-
-def slope_ratios(eigen: EigenTriple, tau):
-    """(entry slope, exit slope) of the passage with phase tau; the formula
-    pair is the same for both sides (see the module docstring)."""
-    check_phase(eigen.gamma, tau)
-    return entry_slope(eigen, tau), exit_slope(eigen, tau)
 
 
 def radial_ratio(eigen: EigenTriple, tau):
@@ -324,10 +340,3 @@ def half_map(side: ZoneSide, system: PwlSystem, point) -> HalfMapResult:
         exit_point=exit_point,
     )
 
-
-def slope_transition(side: ZoneSide, system: PwlSystem, slope_in: float) -> float:
-    """The induced map on ray slopes z/y: invert the entry-slope
-    parametrization at ``slope_in`` and report the exit slope."""
-    eigen = _zone_of(system, side).eigen
-    tau = invert_entry_slope(eigen, float(slope_in))
-    return exit_slope(eigen, tau)

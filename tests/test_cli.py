@@ -147,6 +147,20 @@ def test_analyze_trivial_cone_past_float_range(tmp_path, capsys):
     assert trivial[0]["return_ratio"] == math.inf
 
 
+def test_analyze_reports_the_cone_continuum(tmp_path, capsys):
+    # both shape ratios zero with equal lambdas: the report carries the family
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"minus": {"lambda": -0.5, "alpha": -0.5, "beta": 1},
+                                "plus": {"lambda": -0.5, "alpha": -0.5, "beta": 1.7}}))
+    report_path = tmp_path / "report.json"
+    assert main(["analyze", "--system", str(path), "--json", str(report_path)]) == 0
+    assert "cones: 0 isolated, 1 trivial, continuum: yes" in capsys.readouterr().out
+    doc = json.loads(report_path.read_text())
+    assert doc["family"]["dynamics"] == "StableFocus"
+    assert doc["family"]["includes_half_turn_pair"] is True
+    assert [c["kind"] for c in doc["cones"]] == ["Trivial"]
+
+
 def test_analyze_strong_shape_spec_without_warning(tmp_path, capsys):
     # gamma = 5001 in both zones: e^{gamma tau} leaves the float range in
     # both branches of the kernel, which must read it as +inf without warning
@@ -270,8 +284,13 @@ _DET_MINUS = [
         {"A_minus": _DET_MINUS,
          "A_plus": [[first] + row[1:] for first, row in
                     zip((-5e-324, 8.647331958379129e-223, -5.07503931535645e-60), _DET_MINUS)]},
+        # minus gamma about 1.1e185: 1 + gamma^2 overflowed in the slope kernel
+        {"minus": {"lambda": -1.4429064688064747e+203, "alpha": -9.909770983704536e-283,
+                   "beta": 1.2851500808183788e+18},
+         "plus": {"delta": 2.2108489903745417e-16, "m": -2.1498843687217464e-245,
+                  "d": 1.9384207812089657e+95}},
     ],
-    ids=["alpha-1e100", "alpha-4.5e118", "singular-scaled-det"],
+    ids=["alpha-1e100", "alpha-4.5e118", "singular-scaled-det", "gamma-1.1e185"],
 )
 def test_specs_near_the_float_range_load_without_warning(doc, tmp_path):
     sys_path = tmp_path / "spec.json"

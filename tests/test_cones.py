@@ -1,6 +1,8 @@
 """Cone existence, the continuum family, classification, screens."""
 
+import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -19,7 +21,6 @@ from pwlcones import (
     SynthesisInput,
     ZoneSide,
     analyze_system,
-    classify_dynamics,
     cone_continuum,
     example_system,
     half_map,
@@ -33,12 +34,16 @@ from pwlcones import (
     zone_flow,
 )
 from pwlcones.cones import (
+    CENTER_TOL,
+    FAMILY_SAMPLES,
     _SCAN_BLOCK,
     _candidate_cells,
+    _cell_intervals,
     _cramer_step,
     _ieee_divide,
+    _keeps_sign,
     _singular_values,
-    _straddles,
+    _slope_scale,
 )
 from pwlcones.halfmaps import entry_slope, exit_slope
 from conftest import random_focus_eigen
@@ -218,7 +223,12 @@ def test_trivial_cone_matches_plane_invariance():
 
 def test_classify_reference_center(ex1):
     cone = [c for c in solve_invariant_cones(ex1).cones if c.kind is ConeKind.NON_TRIVIAL][0]
-    assert classify_dynamics(ex1, cone) is ConeDynamics.CENTER
+    assert cone.dynamics is ConeDynamics.CENTER
+    # the full-revolution radial factor at the cone's phase pair puts it in
+    # the center band, and the reported return ratio is that factor
+    rc = matching_residuals(ex1, cone.tau_minus, cone.tau_plus)[2]
+    assert abs(rc) < CENTER_TOL
+    assert cone.return_ratio - 1.0 == pytest.approx(rc, abs=1e-15)
 
 
 def test_classify_trivial_cone_balance():
@@ -226,7 +236,8 @@ def test_classify_trivial_cone_balance():
     system = _system(0.3, 0.8, 1.0, 0.3, -1.6, 2.0)
     trivial = [c for c in solve_invariant_cones(system).cones if c.kind is ConeKind.TRIVIAL][0]
     assert trivial.dynamics is ConeDynamics.CENTER
-    assert classify_dynamics(system, trivial) is ConeDynamics.CENTER
+    # half a turn in each zone: expm1(pi (0.8/1.0 - 1.6/2.0)) = 0
+    assert trivial.return_ratio == 1.0
 
 
 def test_classify_zero_gamma_negative_lambda_contracts():
@@ -236,6 +247,35 @@ def test_classify_zero_gamma_negative_lambda_contracts():
     assert findings.family.dynamics is ConeDynamics.STABLE_FOCUS
     trivial = [c for c in findings.cones if c.kind is ConeKind.TRIVIAL][0]
     assert trivial.dynamics is ConeDynamics.STABLE_FOCUS
+
+
+def test_continuum_report_is_strict_json():
+    system = _system(-0.5, -0.5, 1.0, -0.5, -0.5, 1.7)
+    report = analyze_system(system)
+    doc = json.loads(json.dumps(report.to_json(), allow_nan=False))
+    family = doc["family"]
+    assert family["relation"] == "cot(tau_minus/2)/cot(tau_plus/2) = -beta_plus/beta_minus"
+    assert (family["beta_minus"], family["beta_plus"]) == (1.0, 1.7)
+    assert family["includes_half_turn_pair"] is True
+    assert family["dynamics"] == "StableFocus"
+    assert len(family["sampled_pairs"]) == FAMILY_SAMPLES
+    assert family["sampled_pairs"] == report.family.pairs.tolist()
+    assert [PI, PI] in family["sampled_pairs"]
+
+
+def test_slope_scale_stays_finite_past_the_float_range(ex1):
+    # beta (1 + gamma^2) passes DBL_MAX for gamma about 1.1e185; the scale,
+    # and with it the residual target, stays finite
+    wide = PwlSystem.from_eigen(
+        minus=EigenTriple(lam=-1.4429064688064747e+203, alpha=-9.909770983704536e-283,
+                          beta=1.2851500808183788e+18),
+        plus=ex1.plus.eigen,
+    )
+    assert _slope_scale(wide) == sys.float_info.max
+    # below the limit the scale keeps its formula, bit for bit
+    assert _slope_scale(ex1) == max(
+        1.0, *(abs(e.lam) + e.beta * (1.0 + e.gamma**2) for e in (ex1.minus.eigen, ex1.plus.eigen))
+    )
 
 
 def test_family_shares_the_trivial_cones_dynamics(symmetric_center):
@@ -418,6 +458,16 @@ def _sign_scan_cells(u, v):
     s = np.sign(v[None, :] - u[:, None])
     ref = s[:-1, :-1]
     return ~((ref == s[1:, :-1]) & (ref == s[:-1, 1:]) & (ref == s[1:, 1:]))
+
+
+def _straddles(u, v):
+    # mask over the grid cells (i, j) on whose four corners the residual
+    # v[j'] - u[i'] (i' in {i, i+1}, j' in {j, j+1}) does not keep one sign:
+    # the solver's interval test on every cell, with no block pre-screen, so
+    # a NaN corner, or an inf - inf one, makes its cell straddle
+    lo_u, hi_u = _cell_intervals(u)
+    lo_v, hi_v = _cell_intervals(v)
+    return ~_keeps_sign(lo_u[:, None], hi_u[:, None], lo_v, hi_v)
 
 
 def _grid_slopes(system):

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -17,12 +18,15 @@ from pwlcones import (
     half_map,
     invert_entry_slope,
     radial_ratio,
-    slope_ratios,
-    slope_transition,
     tau_hat,
     zone_flow,
 )
-from pwlcones.halfmaps import passage_slope_rows
+from pwlcones.halfmaps import (
+    _scan_grid,
+    passage_slope_rows,
+    slope_increment,
+    slope_increment_deriv,
+)
 from conftest import random_focus_eigen
 
 PI = math.pi
@@ -120,12 +124,12 @@ def test_slope_formulas_match_flow():
 
 def test_slope_ratios_symmetric_center():
     e = EigenTriple(lam=0.0, alpha=0.0, beta=1.0)
-    u0, u1 = slope_ratios(e, PI)
+    u0, u1 = entry_slope(e, PI), exit_slope(e, PI)
     assert abs(u0) < 1e-14 and abs(u1) < 1e-14
 
 
 def test_slope_ratios_reference_entry(ex1):
-    u0, _ = slope_ratios(ex1.minus.eigen, PI / 4)
+    u0 = entry_slope(ex1.minus.eigen, PI / 4)
     assert u0 == pytest.approx(-0.3260, abs=1e-4)
 
 
@@ -136,7 +140,7 @@ def test_slopes_symmetric_about_lambda_for_zero_gamma():
         be = float(rng.uniform(0.2, 3.0))
         e = EigenTriple(lam=lam, alpha=lam, beta=be)
         tau = float(rng.uniform(0.1, 2 * PI - 0.1))
-        u0, u1 = slope_ratios(e, tau)
+        u0, u1 = entry_slope(e, tau), exit_slope(e, tau)
         assert u0 + u1 == pytest.approx(2.0 * lam, rel=1e-12, abs=1e-10)
 
 
@@ -302,8 +306,15 @@ def test_half_map_plane_test_at_large_norms(ex1, case, on_plane):
     assert not res.exit_point.flags.writeable
 
 
+def _slope_transition(side, system, slope):
+    # the induced map on ray slopes z/y: the exit slope of the passage from
+    # the ray of that slope in the side's half-plane (z/y gives back slope)
+    y = 1.0 if side is ZoneSide.MINUS else -1.0
+    return half_map(side, system, (0.0, y, y * slope)).exit_slope
+
+
 def test_slope_transition_center_fixed_point(symmetric_center):
-    assert slope_transition(ZoneSide.MINUS, symmetric_center, 0.0) == pytest.approx(
+    assert _slope_transition(ZoneSide.MINUS, symmetric_center, 0.0) == pytest.approx(
         0.0, abs=1e-12
     )
 
@@ -314,7 +325,7 @@ def test_slope_transition_fixed_point_at_lambda():
         em = random_focus_eigen(rng)
         ep = random_focus_eigen(rng)
         system = PwlSystem.from_eigen(minus=em, plus=ep)
-        out = slope_transition(ZoneSide.MINUS, system, em.lam)
+        out = _slope_transition(ZoneSide.MINUS, system, em.lam)
         assert out == pytest.approx(em.lam, rel=1e-9, abs=1e-9)
         tau = invert_entry_slope(em, em.lam)
         assert tau == pytest.approx(PI, abs=1e-9)
@@ -322,7 +333,7 @@ def test_slope_transition_fixed_point_at_lambda():
 
 def test_composite_slope_map_fixed_point(ex1):
     u0 = -0.3260
-    out = slope_transition(ZoneSide.PLUS, ex1, slope_transition(ZoneSide.MINUS, ex1, u0))
+    out = _slope_transition(ZoneSide.PLUS, ex1, _slope_transition(ZoneSide.MINUS, ex1, u0))
     assert out == pytest.approx(u0, abs=1e-6)
 
 
@@ -345,7 +356,7 @@ def test_slope_transition_total_for_nonnegative_gamma():
         system = PwlSystem.from_eigen(minus=em, plus=ep)
         for s in slopes:
             for side in (ZoneSide.MINUS, ZoneSide.PLUS):
-                assert math.isfinite(slope_transition(side, system, float(s)))
+                assert math.isfinite(_slope_transition(side, system, float(s)))
 
 
 def test_no_return_below_reachable_range_for_negative_gamma():
@@ -368,6 +379,13 @@ def test_no_return_below_reachable_range_for_negative_gamma():
     assert worst < -1e-9
 
 
+# the minus zone of a spec that once overflowed in slope_increment: gamma is
+# about 1.1e185, so 1 + gamma^2 passes the float range
+_WIDE_ZONE = EigenTriple(
+    lam=-1.4429064688064747e+203, alpha=-9.909770983704536e-283, beta=1.2851500808183788e+18
+)
+
+
 def test_passage_slope_rows_are_the_slopes_bit_for_bit(ex1):
     # the cone scan's one stacked slope_increment call gives the bits of
     # entry_slope and exit_slope on each zone, on grids that reach the
@@ -378,6 +396,9 @@ def test_passage_slope_rows_are_the_slopes_bit_for_bit(ex1):
     zones += [
         EigenTriple(lam=-1.0, alpha=300.0, beta=1.0), EigenTriple(lam=2.0, alpha=-250.0, beta=0.5)
     ]
+    # one zone past |gamma| = sqrt(DBL_MAX) in each pair, either sign
+    zones += [_WIDE_ZONE, ex1.plus.eigen]
+    zones += [ex1.minus.eigen, EigenTriple(lam=3e154, alpha=-1e154, beta=0.5)]
     for a, b in zip(zones[::2], zones[1::2]):
         tha, thb = tau_hat(a.gamma).tau, tau_hat(b.gamma).tau
         for n in (2, 17, 256):
@@ -393,3 +414,32 @@ def test_passage_slope_rows_are_the_slopes_bit_for_bit(ex1):
             assert rows.shape == (4, n)
             for row, want in zip(rows, expected):
                 assert row.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("gamma", [_WIDE_ZONE.gamma, 2e154, 1.7e308, -2e154, -1.7e308])
+def test_slope_increment_past_the_square_root_of_the_float_range(gamma):
+    # 1 + gamma^2 overflows, yet S and S' keep their values: checked against
+    # S at 400 digits and its numerical derivative, rounded to floats (values
+    # below the float range, as for negative gamma, round to zero)
+    def s_ref(t):
+        g = mpmath.mpf(gamma)
+        d = mpmath.exp(-g * t) - mpmath.cos(t) + g * mpmath.sin(t)
+        return (1 + g * g) * mpmath.sin(t) / d
+
+    with mpmath.workdps(400):
+        for tau in (1e-152, 3.5e-152, 1e-15, 0.3, 2.0, 3.0):
+            s, ds = slope_increment(gamma, tau), slope_increment_deriv(gamma, tau)
+            assert type(s) is float and type(ds) is float
+            assert s == slope_increment(gamma, np.array([tau]))[0]
+            assert ds == slope_increment_deriv(gamma, np.array([tau]))[0]
+            for got, want in ((s, float(s_ref(tau))), (ds, float(mpmath.diff(s_ref, tau)))):
+                assert abs(got - want) <= 1e-13 * abs(want), (tau, got, want)
+
+
+def test_invert_entry_slope_returns_an_exact_grid_point(ex1):
+    # a slope that the scan grid hits exactly returns that grid phase
+    e = ex1.minus.eigen
+    taus = _scan_grid(tau_hat(e.gamma).tau)
+    slopes = entry_slope(e, taus)
+    for k in (100, 1000, 2000):
+        assert invert_entry_slope(e, float(slopes[k])) == taus[k]
