@@ -99,7 +99,9 @@ def _modal_flow(eigen: EigenTriple, rows, coeffs, t):
     """The state at ``t`` of the zone flow exp(alpha t) M R(beta t) c from
     the modal coordinates ``coeffs`` = c, with ``rows`` the rows of
     M = modal_matrix(eigen).  A float ``t`` gives a list of three floats; an
-    array ``t`` of shape (n,) or () gives states of shape (n, 3) or (3,)."""
+    array ``t`` of shape (n,) or () gives states of shape (n, 3) or (3,).
+    Coordinates given as ``(k, 1)`` columns with ``t`` of shape (k, n) give
+    the states of k flows, of shape (k, n, 3)."""
     ea, ct, st, el = _flow_factors(eigen, t)
     c1, c2, c3 = coeffs
     w1 = ea * (c1 * ct - c2 * st)

@@ -32,6 +32,7 @@ _LOG_NORM_FLOOR = math.log(NORM_FLOOR)
 _LOG_NORM_CEIL = math.log(NORM_CEIL)
 _LOG_EXP_SAFE = 700.0  # |lam t| up to this keeps exp(lam t) a normal float
 _RK4_BLOCK = 512  # states per block of rk4_flow: S^0 ... S^(_RK4_BLOCK-1)
+_SAMPLE_BLOCK = 8192  # samples per flush of a trace's pending dwells (see _PendingDwells)
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,7 +48,9 @@ class TraceSamples:
     """The sampled states of a trace, stored as columns.
 
     Each dwell adds one block: its times, its ``(n, 3)`` states and the one
-    zone they lie in.  On first read the blocks are concatenated into the
+    zone they lie in.  :func:`trace_orbit` forms the blocks in batches of
+    dwells and adds them in dwell order, all of them before it returns or
+    raises.  On first read the blocks are concatenated into the
     columns ``t`` (shape ``(n,)``), ``states`` (shape ``(n, 3)``) and
     ``zones`` (one ``ZoneSide`` per row); both arrays are read-only.
     Indexing and iteration yield ``(t, state, zone)`` triples with ``t`` a
@@ -238,14 +241,41 @@ def _never_returns(scan: _ZoneScan, coeffs, positive: bool, t: float, t_end: flo
     return hi < _LOG_NORM_CEIL - margin and lo > _LOG_NORM_FLOOR + margin
 
 
-def _sample_dwell(
-    trace: OrbitTrace, scan: _ZoneScan, coeffs, zone: ZoneSide, t_start: float, duration: float,
-    n: int
-) -> None:
-    """Add the block of ``n`` states of the dwell with modal coordinates
-    ``coeffs`` from ``t_start``, evenly spaced over [0, duration)."""
-    ts = np.linspace(0.0, duration, n, endpoint=False)
-    trace.samples.add_block(t_start + ts, scan.flow(coeffs, ts), zone)
+class _PendingDwells:
+    """The dwells of a trace whose samples are not yet formed.  Each dwell
+    records its zone scan, zone, modal coordinates, start time and duration;
+    :meth:`flush` forms the ``n`` states of every pending dwell, evenly
+    spaced over [0, duration) as by ``np.linspace(0, duration, n,
+    endpoint=False)``, with one :func:`_modal_flow` call per zone over a
+    ``(dwells, n)`` time array, and adds them as blocks in dwell order.  A
+    flush comes at the latest every ``_SAMPLE_BLOCK // n`` dwells (at least
+    one), which bounds the temporaries of one flush."""
+
+    def __init__(self, samples: TraceSamples, n: int):
+        self.samples, self.n = samples, n
+        self.limit = max(1, _SAMPLE_BLOCK // max(n, 1))
+        self.dwells: list[tuple[_ZoneScan, ZoneSide, list, float, float]] = []
+
+    def add(self, scan: _ZoneScan, zone: ZoneSide, coeffs, t_start: float, duration: float) -> None:
+        self.dwells.append((scan, zone, coeffs, t_start, duration))
+        if len(self.dwells) >= self.limit:
+            self.flush()
+
+    def flush(self) -> None:
+        dwells, self.dwells = self.dwells, []
+        blocks = [None] * len(dwells)
+        for zone in {d[1] for d in dwells}:
+            index = [i for i, d in enumerate(dwells) if d[1] is zone]
+            coeffs, t_start, durations = map(np.array, zip(*(dwells[i][2:] for i in index)))
+            # the per-dwell call's products, unless a step underflows to zero: then every
+            # row takes linspace's other route, but only a lone dwell is that short
+            ts = np.linspace(0.0, durations, self.n, endpoint=False, axis=1)
+            t = t_start[:, None] + ts
+            states = dwells[index[0]][0].flow(coeffs.T[:, :, None], ts)  # (3, k, 1) columns
+            for j, i in enumerate(index):
+                blocks[i] = (t[j], states[j], zone)
+        for block in blocks:
+            self.samples.add_block(*block)
 
 
 def trace_orbit(
@@ -264,7 +294,10 @@ def trace_orbit(
     first sign change of x1 is bisected to relative time tolerance
     ``CROSS_TIME_RTOL``, and ``samples_per_dwell`` states are emitted per
     dwell.  Each dwell solves for its modal coordinates once; each zone's
-    first-turn scan grid and time factors are formed once per trace.
+    first-turn scan grid and time factors are formed once per trace.  The
+    samples of completed dwells are formed in batches, one flow evaluation
+    per zone and batch (see :class:`_PendingDwells`), and all of them
+    before the trace returns or raises, so partial traces carry them too.
     Closure is declared at the first crossing that returns to the starting
     plane point (same sign of y) within ``CLOSURE_RTOL`` relative; the gap
     to that first sign-matching return is recorded either way.
@@ -304,81 +337,88 @@ def trace_orbit(
         return trace
 
     scans: dict[ZoneSide, _ZoneScan] = {}
+    pending = _PendingDwells(trace.samples, samples_per_dwell)
     t_global = 0.0
-    while True:
-        if len(trace.crossings) >= max_crossings:
-            trace.termination = "crossings"
-            return trace
-        if t_global >= t_max:
-            trace.termination = "t_max"
-            return trace
-        scan = scans.get(zone)
-        if scan is None:
-            scan = scans[zone] = _ZoneScan(_zone_of(system, zone).eigen)
-        eigen, chunk = scan.eigen, scan.chunk
-        coeffs = np.linalg.solve(scan.m, x).tolist()  # the dwell's modal coordinates
-        inside_positive = zone is ZoneSide.PLUS
-        t_cross = math.inf
-        t_off = 0.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            while t_cross == math.inf and t_global + t_off < t_max:
-                # later turns built from these vectors move crossings by ulps, so they are rescanned
-                if t_off == 0.0:
-                    ts = scan.ts
-                    x1 = _x1_of(coeffs, *scan.factors)
-                else:
-                    ts = np.linspace(t_off, t_off + chunk, SCAN_PER_TURN + 1)
-                    x1 = x1_at(eigen, coeffs, ts)
-                finite = np.isfinite(x1)
-                if not finite.all():  # the state left the float range in this turn
-                    _check_norm(trace, math.inf, t_global + float(ts[np.argmin(finite)]))
-                left = x1 < 0.0 if inside_positive else x1 > 0.0
-                left[0] = False
-                if left.any():
-                    k = int(np.argmax(left))
-                    lo, hi = float(ts[k - 1]), float(ts[k])
-                    t_cross = _bracket_root(
-                        _x1_function(eigen, coeffs),
-                        lo,
-                        hi,
-                        1.0 if inside_positive else -1.0,
-                        tol=CROSS_TIME_RTOL * max(1.0, t_global + hi),
-                    )
-                else:
-                    t_off += chunk
-                    _check_norm(trace, math.hypot(*scan.flow(coeffs, t_off)), t_global + t_off)
-                    t_end = t_max - t_global + chunk  # the last scanned turn ends before it
-                    if _never_returns(scan, coeffs, inside_positive, t_off, t_end):
-                        _sample_dwell(trace, scan, coeffs, zone, t_global, t_off, samples_per_dwell)
-                        trace.termination = "no_return"
-                        trace.note = (
-                            f"x1 keeps its sign from t={t_global + t_off!r} on: "
-                            "the orbit never returns to the plane"
+    try:
+        while True:
+            if len(trace.crossings) >= max_crossings:
+                trace.termination = "crossings"
+                return trace
+            if t_global >= t_max:
+                trace.termination = "t_max"
+                return trace
+            scan = scans.get(zone)
+            if scan is None:
+                scan = scans[zone] = _ZoneScan(_zone_of(system, zone).eigen)
+            eigen, chunk = scan.eigen, scan.chunk
+            coeffs = np.linalg.solve(scan.m, x).tolist()  # the dwell's modal coordinates
+            inside_positive = zone is ZoneSide.PLUS
+            t_cross = math.inf
+            t_off = 0.0
+            with np.errstate(over="ignore", invalid="ignore"):
+                while t_cross == math.inf and t_global + t_off < t_max:
+                    # later turns built from these vectors move crossings by ulps, so they
+                    # are rescanned
+                    if t_off == 0.0:
+                        ts = scan.ts
+                        x1 = _x1_of(coeffs, *scan.factors)
+                    else:
+                        ts = np.linspace(t_off, t_off + chunk, SCAN_PER_TURN + 1)
+                        x1 = x1_at(eigen, coeffs, ts)
+                    finite = np.isfinite(x1)
+                    if not finite.all():  # the state left the float range in this turn
+                        _check_norm(trace, math.inf, t_global + float(ts[np.argmin(finite)]))
+                    left = x1 < 0.0 if inside_positive else x1 > 0.0
+                    left[0] = False
+                    if left.any():
+                        k = int(np.argmax(left))
+                        lo, hi = float(ts[k - 1]), float(ts[k])
+                        t_cross = _bracket_root(
+                            _x1_function(eigen, coeffs),
+                            lo,
+                            hi,
+                            1.0 if inside_positive else -1.0,
+                            tol=CROSS_TIME_RTOL * max(1.0, t_global + hi),
                         )
-                        return trace
-        if t_global + t_cross > t_max:
-            _sample_dwell(trace, scan, coeffs, zone, t_global, t_max - t_global, samples_per_dwell)
-            trace.termination = "t_max"
-            return trace
-        _sample_dwell(trace, scan, coeffs, zone, t_global, t_cross, samples_per_dwell)
+                    else:
+                        t_off += chunk
+                        _check_norm(trace, math.hypot(*scan.flow(coeffs, t_off)), t_global + t_off)
+                        t_end = t_max - t_global + chunk  # the last scanned turn ends before it
+                        if _never_returns(scan, coeffs, inside_positive, t_off, t_end):
+                            pending.add(scan, zone, coeffs, t_global, t_off)
+                            trace.termination = "no_return"
+                            trace.note = (
+                                f"x1 keeps its sign from t={t_global + t_off!r} on: "
+                                "the orbit never returns to the plane"
+                            )
+                            return trace
+            if t_global + t_cross > t_max:
+                pending.add(scan, zone, coeffs, t_global, t_max - t_global)
+                trace.termination = "t_max"
+                return trace
+            pending.add(scan, zone, coeffs, t_global, t_cross)
 
-        point = scan.flow(coeffs, t_cross)
-        point[0] = 0.0
-        t_global += t_cross
-        norm_cross = _check_norm(trace, math.hypot(*point), t_global)
-        if abs(point[1]) <= TANGENCY_RTOL * norm_cross:
-            trace.samples.add_block(np.array([t_global]), np.array([point]), zone)
-            trace.termination = "tangency"
-            trace.note = f"crossing at t={t_global!r} grazes the tangency line y = 0"
-            return trace
-        x = np.array(point)
-        zone = ZoneSide.MINUS if point[1] > 0.0 else ZoneSide.PLUS
-        trace.crossings.append(Crossing(t=t_global, point=x, zone=zone))
-        if ref is not None and trace.closure_residual is None and float(np.sign(point[1])) == ref_sign:
-            gap = math.hypot(*(x - ref))
-            trace.closure_residual = gap
-            trace.period = t_global
-            trace.closed = gap <= CLOSURE_RTOL * norm0
+            point = scan.flow(coeffs, t_cross)
+            point[0] = 0.0
+            t_global += t_cross
+            norm_cross = _check_norm(trace, math.hypot(*point), t_global)
+            if abs(point[1]) <= TANGENCY_RTOL * norm_cross:
+                pending.flush()  # the grazing point comes after the dwell's samples
+                trace.samples.add_block(np.array([t_global]), np.array([point]), zone)
+                trace.termination = "tangency"
+                trace.note = f"crossing at t={t_global!r} grazes the tangency line y = 0"
+                return trace
+            x = np.array(point)
+            zone = ZoneSide.MINUS if point[1] > 0.0 else ZoneSide.PLUS
+            trace.crossings.append(Crossing(t=t_global, point=x, zone=zone))
+            first_return = ref is not None and trace.closure_residual is None
+            if first_return and float(np.sign(point[1])) == ref_sign:
+                gap = math.hypot(*(x - ref))
+                trace.closure_residual = gap
+                trace.period = t_global
+                trace.closed = gap <= CLOSURE_RTOL * norm0
+    finally:
+        pending.flush()  # every completed dwell is sampled, also when a norm guard raises
 
 
 def closure_check(system: PwlSystem, cone) -> float:

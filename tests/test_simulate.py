@@ -369,11 +369,11 @@ def _zone_eigen(system, point):
     return (system.minus if point[1] > 0.0 else system.plus).eigen
 
 
-def _assert_dwells_are_zone_flow(monkeypatch, system, x0, crossings, n=37):
-    """Each dwell's block of samples and its crossing point are the public
-    zone_flow from the dwell's start at the same times, bit for bit.  The
-    dwell lengths are read from the crossing-time solver, since a crossing
-    time is stored as the sum of the dwell lengths."""
+def _trace_with_dwells(monkeypatch, system, x0, **options):
+    """The trace from x0, also when a norm guard raises with it attached, and
+    the length of every dwell that ended in a crossing, read from the
+    crossing-time solver (a crossing time is stored as the sum of the dwell
+    lengths)."""
     from pwlcones import simulate
 
     dwells = []
@@ -383,22 +383,46 @@ def _assert_dwells_are_zone_flow(monkeypatch, system, x0, crossings, n=37):
         return dwells[-1]
 
     simulate_root = simulate._bracket_root
-    monkeypatch.setattr(simulate, "_bracket_root", recording_root)
-    trace = trace_orbit(system, x0, max_crossings=crossings, t_max=1e12, samples_per_dwell=n)
-    monkeypatch.undo()
-    assert len(trace.crossings) == len(dwells) == crossings
-    starts = [np.asarray(x0, dtype=float)] + [cr.point for cr in trace.crossings[:-1]]
+    with monkeypatch.context() as patch:
+        patch.setattr(simulate, "_bracket_root", recording_root)
+        try:
+            trace = trace_orbit(system, x0, **options)
+        except (OriginReached, Diverged) as exc:
+            trace = exc.trace
+    return trace, dwells
+
+
+def _assert_blocks_are_zone_flow(system, x0, trace, dwells, n):
+    """Dwell k's block of ``n`` samples is the public zone_flow from the
+    dwell's start at the same times, in the dwell's zone, bit for bit, and
+    so is the crossing point that ends it (where one was recorded)."""
+    starts = [np.asarray(x0, dtype=float)] + [cr.point for cr in trace.crossings]
     t_start = 0.0
-    for k, (start, cr, dwell) in enumerate(zip(starts, trace.crossings, dwells)):
+    for k, (start, dwell) in enumerate(zip(starts, dwells)):
+        zone = ZoneSide.MINUS if start[1] > 0.0 else ZoneSide.PLUS
         eigen = _zone_eigen(system, start)
         ts = np.linspace(0.0, dwell, n, endpoint=False)
         block = slice(k * n, (k + 1) * n)
         assert _bits(trace.samples.t[block]) == _bits(t_start + ts)
         assert _bits(trace.samples.states[block]) == _bits(zone_flow(eigen, start, ts))
-        point = zone_flow(eigen, start, dwell)
-        point[0] = 0.0
-        assert _bits(cr.point) == _bits(point)
-        t_start = cr.t
+        assert trace.samples.zones[block] == [zone] * n
+        if k < len(trace.crossings):
+            point = zone_flow(eigen, start, dwell)
+            point[0] = 0.0
+            assert _bits(trace.crossings[k].point) == _bits(point)
+            t_start = trace.crossings[k].t
+
+
+def _assert_dwells_are_zone_flow(monkeypatch, system, x0, crossings, n=37):
+    """Each dwell's block of samples and its crossing point are the public
+    zone_flow from the dwell's start at the same times, bit for bit."""
+    trace, dwells = _trace_with_dwells(
+        monkeypatch, system, x0, max_crossings=crossings, t_max=1e12, samples_per_dwell=n
+    )
+    assert trace.termination == "crossings"
+    assert len(trace.crossings) == len(dwells) == crossings
+    assert len(trace.samples) == crossings * n
+    _assert_blocks_are_zone_flow(system, x0, trace, dwells, n)
 
 
 def test_trace_dwells_equal_zone_flow_on_reference_systems(ex1, ex2, monkeypatch):
@@ -512,3 +536,74 @@ def test_trace_no_return_keeps_norm_guard_endings():
     assert trace_orbit(decay, -invariant_line(decay.minus.eigen), t_max=100.0).termination == (
         "no_return"
     )
+
+
+def test_trace_dwells_equal_zone_flow_across_sample_batches(ex1, monkeypatch):
+    # the samples are formed a batch of dwells at a time: more dwells than two
+    # batches take several flushes, each over both zones
+    from pwlcones import simulate
+
+    n = 997
+    per_batch = max(1, simulate._SAMPLE_BLOCK // n)
+    _assert_dwells_are_zone_flow(monkeypatch, ex1, X0_REF, 2 * per_batch + 3, n)
+
+
+def test_partial_traces_carry_every_completed_dwell(monkeypatch):
+    # a norm guard raises mid-trace: every dwell that ended in a crossing
+    # time is sampled in the attached trace, as the zone flow from its start
+    import pwlcones as pw
+
+    n = 23
+    out = pw.synthesize(pw.SynthesisInput(-1.0, 1.0, 10.0, 3.6396693605935058, 0.9198835948765263))
+    x0 = [0.0, 1.0, pw.analyze_system(out.system).cones[0].u0]
+    trace, dwells = _trace_with_dwells(
+        monkeypatch, out.system, x0, max_crossings=16, samples_per_dwell=n
+    )
+    assert trace.termination == "diverged"
+    assert len(trace.crossings) == len(dwells) >= 1
+    assert len(trace.samples) == len(dwells) * n
+    _assert_blocks_are_zone_flow(out.system, x0, trace, dwells, n)
+    # a fast spiral into the origin: the last dwell ends at a crossing point
+    # below the norm floor, so it is sampled but records no crossing
+    e = EigenTriple(lam=-10.0, alpha=-10.0, beta=1.0)
+    spiral = PwlSystem.from_eigen(minus=e, plus=e)
+    x0 = [0.0, 1.0, 0.5]
+    trace, dwells = _trace_with_dwells(
+        monkeypatch, spiral, x0, max_crossings=1000, t_max=math.inf, samples_per_dwell=n
+    )
+    assert trace.termination == "origin"
+    assert len(dwells) == len(trace.crossings) + 1 > 1
+    assert len(trace.samples) == len(dwells) * n
+    _assert_blocks_are_zone_flow(spiral, x0, trace, dwells, n)
+
+
+def test_trace_tangency_after_a_dwell(ex1, monkeypatch):
+    # with a wide enough tolerance the first crossing counts as grazing the
+    # tangency line: the dwell's block comes first, then the grazing point
+    from pwlcones import simulate
+
+    n = 31
+    monkeypatch.setattr(simulate, "TANGENCY_RTOL", 10.0)
+    trace, dwells = _trace_with_dwells(monkeypatch, ex1, X0_REF, samples_per_dwell=n)
+    assert trace.termination == "tangency" and "grazes" in trace.note
+    assert trace.crossings == [] and len(dwells) == 1
+    assert len(trace.samples) == n + 1
+    assert trace.samples.zones == [ZoneSide.MINUS] * (n + 1)
+    _assert_blocks_are_zone_flow(ex1, X0_REF, trace, dwells, n)
+    point = zone_flow(ex1.minus.eigen, X0_REF, dwells[0])
+    point[0] = 0.0
+    t, state, zone = trace.samples[n]
+    assert t == dwells[0] and zone is ZoneSide.MINUS
+    assert _bits(state) == _bits(point)
+
+
+@pytest.mark.parametrize("t_max", [5e-324, 1e-322, 1e-320])
+def test_trace_samples_keep_linspace_bits_when_the_step_underflows(ex1, t_max):
+    # below n * 5e-324 the sample step rounds to zero and np.linspace scales
+    # its grid by another route: the samples still follow it bit for bit
+    n = 400
+    trace = trace_orbit(ex1, X0_REF, t_max=t_max, samples_per_dwell=n)
+    assert trace.termination == "t_max" and trace.crossings == []
+    ts = np.linspace(0.0, t_max, n, endpoint=False)
+    assert _bits(trace.samples.t) == _bits(ts)
+    assert _bits(trace.samples.states) == _bits(zone_flow(ex1.minus.eigen, X0_REF, ts))
