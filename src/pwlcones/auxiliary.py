@@ -216,13 +216,16 @@ class PhiRoot:
 def tau_hat(gamma: float) -> PhiRoot:
     """First positive zero of phi(|gamma|, .): exactly 2*pi for gamma = 0,
     otherwise the zero of the overflow-free phi_scaled(|gamma|, .), which has
-    the sign of phi, bracketed by (pi, 2*pi) and polished by Newton with
-    d(phi_scaled)/d(tau) = (1+gamma^2) sin(tau) - |gamma| phi_scaled.  The
-    result stays strictly inside (pi, 2*pi): for |gamma| below about 1e-31
-    the zero, near 2*pi - sqrt(4*pi*|gamma|), rounds to 2*pi and the float
-    just below 2*pi is returned; for |gamma| above about 1e16 the zero, near
-    pi + 1/|gamma|, rounds to pi and the float just above pi is returned,
-    also for gamma = +/-inf.  A NaN gamma raises :class:`MalformedInput`."""
+    the sign of phi, so it changes sign once on (pi, 2*pi), where phi' < 0.
+    Guarded Newton, with d(phi_scaled)/d(tau) = (1+gamma^2) sin(tau) -
+    |gamma| phi_scaled from the same kernel value, narrows (pi, 2*pi) to the
+    two floats around the sign change, starting from the larger of the lower
+    bounds 2*pi - sqrt(4*pi*|gamma|) and pi + atan(1/|gamma|); a step that
+    leaves the bracket or is not below half the step before bisects instead.
+    :func:`_bracket_root` then polishes the pair.  The result stays strictly
+    inside (pi, 2*pi): where the zero rounds to an end, below |gamma| of
+    about 1e-31 or above about 1e16 (and at +/-inf), it is the float next to
+    that end.  A NaN gamma raises :class:`MalformedInput`."""
     g = abs(float(gamma))
     if math.isnan(g):
         raise MalformedInput("gamma must be a number, got nan")
@@ -232,10 +235,30 @@ def tau_hat(gamma: float) -> PhiRoot:
     def f(t):
         return phi_scaled(g, t)
 
-    def fprime(t):
-        return (1.0 + g * g) * math.sin(t) - g * f(t)
+    def fprime(t, v=None):  # v: f(t), where it is known
+        return (1.0 + g * g) * math.sin(t) - g * (f(t) if v is None else v)
 
-    t = _bracket_root(f, math.pi, 2.0 * math.pi, f(math.pi), fprime)
+    # f(pi) = e^(-g pi) + 1 > 0; hi stays 2*pi until some f(t) < 0
+    lo, flo, hi, last_step = math.pi, 1.0, 2.0 * math.pi, math.inf
+    t = max(hi - math.sqrt(4.0 * math.pi * g), lo + math.atan2(1.0, g), math.nextafter(lo, hi))
+    t = min(t, math.nextafter(hi, lo))
+    while math.nextafter(lo, hi) < hi:
+        v = f(t)
+        if v == 0.0:
+            return PhiRoot(gamma=float(gamma), tau=t)
+        if v > 0.0:
+            lo, flo = t, v
+        else:
+            hi = t
+        d = fprime(t, v)
+        step = v / d if d else math.inf
+        cand = t - step
+        if abs(step) < math.ulp(t):  # within an ulp of the zero: the float across it
+            cand = math.nextafter(t, hi if v > 0.0 else lo)
+        elif not (lo < cand < hi and abs(step) <= 0.5 * last_step):
+            cand = 0.5 * (lo + hi)
+        last_step, t = abs(cand - t), cand
+    t = _bracket_root(f, lo, hi, flo, fprime)
     t = min(max(t, math.nextafter(math.pi, 4.0)), math.nextafter(2.0 * math.pi, 0.0))
     return PhiRoot(gamma=float(gamma), tau=float(t))
 

@@ -24,6 +24,7 @@ import numpy as np
 from .auxiliary import _LOG_FLOAT_MAX, _SQRT_FLOAT_MAX, check_phase, log_g, tau_hat
 from .errors import MalformedInput, NotApplicable
 from .halfmaps import (
+    _slope_with_deriv,
     entry_slope,
     entry_slope_deriv,
     exit_slope,
@@ -187,17 +188,11 @@ def matching_residuals(system: PwlSystem, tau_minus: float, tau_plus: float):
     periodic orbits.
     """
     _check_pair(system, tau_minus, tau_plus)
-    ra, rb = _slope_residuals(system.minus.eigen, system.plus.eigen, tau_minus, tau_plus)
+    em, ep = system.minus.eigen, system.plus.eigen
+    ra = exit_slope(ep, tau_plus) - entry_slope(em, tau_minus)
+    rb = entry_slope(ep, tau_plus) - exit_slope(em, tau_minus)
     rc = _expm1_capped(return_log_ratio(system, tau_minus, tau_plus))
     return ra, rb, rc
-
-
-def _slope_residuals(em: EigenTriple, ep: EigenTriple, tau_minus, tau_plus):
-    """The slope residuals ``(ra, rb)`` of :func:`matching_residuals`."""
-    return (
-        exit_slope(ep, tau_plus) - entry_slope(em, tau_minus),
-        entry_slope(ep, tau_plus) - exit_slope(em, tau_minus),
-    )
 
 
 def _zero_gammas(system: PwlSystem) -> bool:
@@ -326,21 +321,22 @@ def _cramer_step(a: float, b: float, c: float, d: float, f0: float, f1: float):
     return (f0 * d - b * f1) / det, (a * f1 - c * f0) / det
 
 
+def _residuals_and_jacobian(em: EigenTriple, ep: EigenTriple, tm: float, tp: float):
+    """The slope residuals ``(ra, rb)`` of :func:`matching_residuals` at float
+    phases and their Jacobian over (tm, tp), row by row, from one kernel call
+    per zone and slope direction."""
+    (entry_m, d_entry_m), (exit_m, d_exit_m), (entry_p, d_entry_p), (exit_p, d_exit_p) = (
+        _slope_with_deriv(e, sign, t) for e, t in ((em, tm), (ep, tp)) for sign in (1.0, -1.0))
+    return (exit_p - entry_m, entry_p - exit_m), (-d_entry_m, d_exit_p, -d_exit_m, d_entry_p)
+
+
 def _newton_refine(system, tm, tp, bounds, target):
     em, ep = system.minus.eigen, system.plus.eigen
     (lo_m, hi_m, lo_p, hi_p) = bounds
-    f = _slope_residuals(em, ep, tm, tp)
+    f, jac = _residuals_and_jacobian(em, ep, tm, tp)
     smin_ratio = math.inf
     for _ in range(_NEWTON_ITERS):
-        if not all(map(math.isfinite, f)):
-            break
-        jac = (
-            -entry_slope_deriv(em, tm),
-            exit_slope_deriv(ep, tp),
-            -exit_slope_deriv(em, tm),
-            entry_slope_deriv(ep, tp),
-        )
-        if not all(map(math.isfinite, jac)):
+        if not all(map(math.isfinite, (*f, *jac))):
             break
         smax, smin = _singular_values(*jac)
         if smax > 0.0:
@@ -357,9 +353,9 @@ def _newton_refine(system, tm, tp, bounds, target):
             if cm == tm and cp == tp:
                 break  # every further halving lands on the same point
             if lo_m < cm < hi_m and lo_p < cp < hi_p:
-                fc = _slope_residuals(em, ep, cm, cp)
+                fc, jc = _residuals_and_jacobian(em, ep, cm, cp)
                 if all(map(math.isfinite, fc)) and max(abs(fc[0]), abs(fc[1])) < size:
-                    tm, tp, f = cm, cp, fc
+                    tm, tp, f, jac = cm, cp, fc, jc
                     moved = True
                     break
             scale *= 0.5

@@ -143,8 +143,11 @@ def slope_increment(gamma: float, tau):
         return np.where(wide, gamma * (gamma * st / d) + st / d, (1.0 + g * g) * st / d)
     d = phi_scaled(gamma, t)
     # a zero divisor divides as numpy does: +/-inf or nan, with its warning
-    d = d or np.float64(d)
-    st = math.sin(t)
+    return _slope_of(gamma, d or np.float64(d), math.sin(t))
+
+
+def _slope_of(gamma: float, d, st):
+    """S from D = phi_scaled(gamma, tau) and sin(tau), for a float gamma."""
     if abs(gamma) > _SQRT_FLOAT_MAX:
         return gamma * (gamma * st / d) + st / d
     return (1.0 + gamma * gamma) * st / d
@@ -162,10 +165,14 @@ def slope_increment_deriv(gamma: float, tau):
     gamma ((gamma / D) X) + X / D, never forming q itself."""
     t = _finite_float(tau)
     if t is None:
-        d, st, ct = np.asarray(phi_scaled(gamma, tau)), np.sin(tau), np.cos(tau)
-    else:
-        d, st, ct = phi_scaled(gamma, t), math.sin(t), math.cos(t)
-        d = d or np.float64(d)  # a zero divisor divides as numpy does
+        return _slope_deriv_of(gamma, tau, np.asarray(phi_scaled(gamma, tau)), np.sin(tau),
+                               np.cos(tau))
+    d = phi_scaled(gamma, t)
+    return _slope_deriv_of(gamma, t, d or np.float64(d), math.sin(t), math.cos(t))
+
+
+def _slope_deriv_of(gamma: float, tau, d, st, ct):
+    """S' from D = phi_scaled(gamma, tau), sin(tau) and cos(tau), for a float gamma."""
     if abs(gamma) > _SQRT_FLOAT_MAX:
         with np.errstate(over="ignore"):  # +/-inf past the float range, as in phi_scaled
             x = -gamma * np.asarray(tau, dtype=float)
@@ -183,6 +190,17 @@ def _passage_slope(lam, signed_beta, s):
     the exit slope with -beta and S(-gamma, tau).  Adding -beta*S gives the
     bits of subtracting beta*S, so every slope is formed here."""
     return lam + signed_beta * s
+
+
+def _slope_with_deriv(eigen: EigenTriple, sign: float, t: float):
+    """The entry (``sign`` 1.0) or exit (-1.0) slope and its derivative at a
+    float phase t, with the bits of the four slope functions, from one
+    phi_scaled call."""
+    g, signed_beta = sign * eigen.gamma, sign * eigen.beta
+    d, st = phi_scaled(g, t), math.sin(t)
+    d = d or np.float64(d)  # a zero divisor divides as numpy does
+    return (float(_passage_slope(eigen.lam, signed_beta, _slope_of(g, d, st))),
+            float(signed_beta * _slope_deriv_of(g, t, d, st, math.cos(t))))
 
 
 def entry_slope(eigen: EigenTriple, tau):

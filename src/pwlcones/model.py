@@ -189,22 +189,28 @@ def focus_plane(eigen: EigenTriple) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class ZoneSpec:
     """One zone: its coefficients and spectrum, which must agree, and the
-    read-only companion matrix derived from the coefficients."""
+    read-only companion matrix derived from the coefficients.  They agree
+    when the invariant line v, scaled by a power of two so that its norms
+    stay finite, satisfies |A v - lam v| <= EIGENVECTOR_RTOL |v| max(1,
+    |lam|, max |A_ij|), checked on Python floats; else ``ValueError``."""
 
     coeffs: CanonicalCoeffs
     eigen: EigenTriple
     matrix: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        a = companion_matrix(self.coeffs)
-        v = invariant_line(self.eigen)
-        # scaled by a power of two, exactly, so that its norms stay finite
-        v = np.ldexp(v, -math.frexp(float(np.abs(v).max()))[1])
-        resid = np.linalg.norm(a @ v - self.eigen.lam * v)
-        scale = np.linalg.norm(v) * max(1.0, abs(self.eigen.lam), np.abs(a).max())
+        c, lam = self.coeffs, self.eigen.lam
+        v = invariant_line(self.eigen).tolist()
+        e = -math.frexp(max(map(abs, v)))[1]
+        v1, v2, v3 = (math.ldexp(x, e) for x in v)
+        # companion_matrix(c) @ v - lam v, row by row
+        resid = math.hypot(
+            c.delta * v1 - v2 - lam * v1, c.m * v1 - v3 - lam * v2, c.d * v1 - lam * v3
+        )
+        scale = math.hypot(v1, v2, v3) * max(1.0, abs(lam), *map(abs, c.as_tuple()))
         if resid > EIGENVECTOR_RTOL * scale:
             raise ValueError("spectrum does not match the zone matrix")
-        object.__setattr__(self, "matrix", a)
+        object.__setattr__(self, "matrix", companion_matrix(c))
 
     @classmethod
     def from_eigen(cls, eigen: EigenTriple) -> "ZoneSpec":

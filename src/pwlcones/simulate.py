@@ -50,29 +50,32 @@ class TraceSamples:
     Each dwell adds one block: its times, its ``(n, 3)`` states and the one
     zone they lie in.  :func:`trace_orbit` forms the blocks in batches of
     dwells and adds them in dwell order, all of them before it returns or
-    raises.  On first read the blocks are concatenated into the
-    columns ``t`` (shape ``(n,)``), ``states`` (shape ``(n, 3)``) and
-    ``zones`` (one ``ZoneSide`` per row); both arrays are read-only.
+    raises.  On read the blocks added since the last read are appended to
+    the columns ``t`` (shape ``(n,)``), ``states`` (shape ``(n, 3)``) and
+    ``zones`` (one ``ZoneSide`` per row) and dropped, so a trace that has
+    been read holds one copy of its samples; both arrays are read-only.
     Indexing and iteration yield ``(t, state, zone)`` triples with ``t`` a
     float and ``state`` a row of ``states``.
     """
 
     def __init__(self):
         self._blocks: list[tuple[np.ndarray, np.ndarray, ZoneSide]] = []
-        self._columns = None
+        self._columns = (np.broadcast_to(0.0, (0,)), np.broadcast_to(0.0, (0, 3)), [])  # read-only
 
     def add_block(self, t: np.ndarray, states: np.ndarray, zone: ZoneSide) -> None:
         self._blocks.append((t, states, zone))
-        self._columns = None
 
     def _concat(self):
-        if self._columns is None:
-            t = np.concatenate([b[0] for b in self._blocks] or [np.empty(0)])
-            states = np.concatenate([b[1] for b in self._blocks] or [np.empty((0, 3))])
+        if self._blocks:
+            t0, states0, zones0 = self._columns
+            t = np.concatenate([t0, *(b[0] for b in self._blocks)])
+            states = np.concatenate([states0, *(b[1] for b in self._blocks)])
             t.setflags(write=False)
             states.setflags(write=False)
-            zones = [zone for bt, _, zone in self._blocks for _ in range(len(bt))]
-            self._columns = (t, states, zones)
+            zones = list(zones0)
+            for bt, _, zone in self._blocks:
+                zones += [zone] * len(bt)
+            self._columns, self._blocks = (t, states, zones), []
         return self._columns
 
     @property
@@ -88,7 +91,7 @@ class TraceSamples:
         return self._concat()[2]
 
     def __len__(self) -> int:
-        return sum(len(bt) for bt, _, _ in self._blocks)
+        return len(self._columns[0]) + sum(len(bt) for bt, _, _ in self._blocks)
 
     def __getitem__(self, i: int) -> tuple[float, np.ndarray, ZoneSide]:
         t, states, zones = self._concat()

@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from pwlcones import DomainError, PhiRoot, g_ratio, phi, phi_deriv, phi_scaled, tau_hat
+from pwlcones import DomainError, PhiRoot, auxiliary, g_ratio, phi, phi_deriv, phi_scaled, tau_hat
 from pwlcones.auxiliary import (
     _LOG_FLOAT_MAX,
     SERIES_CUTOFF,
@@ -305,6 +305,63 @@ def test_tau_hat_inside_bracket_at_extreme_gamma(g):
             exact = mpmath.pi + mpmath.atan(1 / gm)
         inner = math.nextafter(t, 1.5 * PI)
         assert abs(mpmath.mpf(t) - exact) < abs(mpmath.mpf(inner) - exact)
+
+
+# (|gamma|, tau_hat(gamma).tau.hex(), phi_scaled calls of one cache miss when
+# (pi, 2*pi) was bisected down to adjacent floats before the Newton polish)
+TAU_HAT_PINS = [
+    (0.0, "0x1.921fb54442d18p+2", 0),
+    (1e-300, "0x1.921fb54442d17p+2", 60),
+    (1e-31, "0x1.921fb54442d17p+2", 56),
+    (1e-20, "0x1.921fb543e1607p+2", 60),
+    (1e-12, "0x1.921fa665f2025p+2", 59),
+    (1e-08, "0x1.9219e66cb2e68p+2", 60),
+    (0.02, "0x1.729ba951b4838p+2", 60),
+    (0.3, "0x1.2a3b712c63c76p+2", 59),
+    (1.0, "0x1.f869f1820844dp+1", 60),
+    (10.0, "0x1.9ee1a685b437dp+1", 61),
+    (50.0, "0x1.94aefb0ff8d16p+1", 61),
+    (4600.0, "0x1.9226d4e08663cp+1", 60),
+    (1e8, "0x1.921fb559bc606p+1", 63),
+    (1e16, "0x1.921fb54442d19p+1", 63),
+    (1e17, "0x1.921fb54442d19p+1", 63),
+    (1e100, "0x1.921fb54442d19p+1", 58),
+    (1.3e154, "0x1.921fb54442d19p+1", 58),
+    (1e185, "0x1.921fb54442d19p+1", 59),
+    (1.7e308, "0x1.921fb54442d19p+1", 59),
+    (math.inf, "0x1.921fb54442d19p+1", 59),
+]
+
+
+def _tau_hat_miss(monkeypatch, gamma):
+    """tau_hat(gamma) past its cache, with the phi_scaled calls it made."""
+    calls = []
+
+    def counted(g, t):
+        calls.append(t)
+        return phi_scaled(g, t)
+
+    with monkeypatch.context() as m:
+        m.setattr(auxiliary, "phi_scaled", counted)
+        root = tau_hat.__wrapped__(gamma)
+    return root, len(calls)
+
+
+@pytest.mark.parametrize("g, pinned, bisect_calls", TAU_HAT_PINS, ids=repr)
+def test_tau_hat_pinned_bits_and_calls(monkeypatch, g, pinned, bisect_calls):
+    for gamma in (g, -g):
+        root, calls = _tau_hat_miss(monkeypatch, gamma)
+        assert root.tau.hex() == pinned
+        assert calls <= bisect_calls
+
+
+def test_tau_hat_miss_takes_few_kernel_calls(monkeypatch):
+    # bisecting (pi, 2*pi) to the float floor took 59 to 61 calls here
+    for g in np.geomspace(0.02, 50.0, 101).tolist():
+        for gamma in (g, -g):
+            root, calls = _tau_hat_miss(monkeypatch, gamma)
+            assert calls <= 20, gamma
+            assert root.tau == tau_hat(gamma).tau
 
 
 def test_phi_root_rejects_non_roots():

@@ -1,5 +1,6 @@
 """Cone existence, the continuum family, classification, screens."""
 
+import hashlib
 import json
 import math
 import sys
@@ -16,6 +17,7 @@ from pwlcones import (
     EigenTriple,
     MalformedInput,
     NotApplicable,
+    PwlError,
     PwlSystem,
     ScreenResult,
     SynthesisInput,
@@ -27,12 +29,16 @@ from pwlcones import (
     matching_residuals,
     necessary_screen,
     one_zone_cone_check,
+    phi_scaled,
+    sample_admissible_angles,
     slope_map_multiplier,
     solve_invariant_cones,
     synthesize,
+    system_from_json,
     tau_hat,
     zone_flow,
 )
+from pwlcones import auxiliary, halfmaps
 from pwlcones.cones import (
     CENTER_TOL,
     FAMILY_SAMPLES,
@@ -626,3 +632,74 @@ def test_solver_options_at_their_bounds(ex1):
     report = analyze_system(ex1, grid=np.int64(2))
     assert [c.kind for c in report.cones] == [ConeKind.NON_TRIVIAL]
     assert report.cones[0].tau_minus == pytest.approx(PI / 4, abs=1e-12)
+
+
+def _report_digest(system) -> str:
+    text = json.dumps(analyze_system(system).to_json(), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _seeded_designs(count: int):
+    rng = np.random.default_rng(2718)
+    while count:
+        g, k, c = (float(rng.uniform(lo, hi)) for lo, hi in ((-3.0, 3.0), (0.2, 3.0), (-5.0, 5.0)))
+        tm, tp = sample_admissible_angles(g, k, c, rng)
+        try:
+            out = synthesize(SynthesisInput(gamma=g, k=k, c=c, tau_minus=tm, tau_plus=tp))
+        except PwlError:
+            continue
+        count -= 1
+        yield out.system
+
+
+# the flat spec: lambda -3 in both zones, the plus zone's alpha/beta about -1.3e6
+FLAT_SPEC = {"minus": {"lambda": -3.0, "alpha": 2.6793786170616363, "beta": 2.7342230241841587},
+             "plus": {"lambda": -3.0, "alpha": -3473444.102586655, "beta": 2.6724383368196634}}
+# minus gamma about 1.1e185, past sqrt(DBL_MAX)
+GAMMA_1E185_SPEC = {
+    "minus": {"lambda": -1.4429064688064747e+203, "alpha": -9.909770983704536e-283,
+              "beta": 1.2851500808183788e+18},
+    "plus": {"delta": 2.2108489903745417e-16, "m": -2.1498843687217464e-245,
+             "d": 1.9384207812089657e+95},
+}
+_PINNED_REPORTS = {
+    "ex1": "5c321ca6e5566defbe22d9f763d01d908facfef4b75ae125e8aaf9e61bf542cb",
+    "ex2": "68d9f72d1637696142154fe51e65ccba823c7e67632cd84cf57fa33ff4b1a198",
+    "flat": "eb55f42f70a92e5674cf6fae78a1b6dcec2f020d15d73efbb9c8cc6648a5a5b4",
+    "gamma-1.1e185": "d7dc381cb90aa879b7ef1e16c9fc31961240a1a426315eed0e6bd84f83acc63d",
+}
+
+
+def test_pinned_report_digests():
+    systems = {
+        "ex1": example_system(1),
+        "ex2": example_system(2),
+        "flat": system_from_json(FLAT_SPEC),
+        "gamma-1.1e185": system_from_json(GAMMA_1E185_SPEC),
+    }
+    assert {name: _report_digest(s) for name, s in systems.items()} == _PINNED_REPORTS
+    digests = hashlib.sha256()
+    for system in _seeded_designs(50):
+        digests.update(_report_digest(system).encode())
+    assert digests.hexdigest() == "79e91e127bd54276e1ea8584f48b3bcb9fc154d3317a4f38a97dfd5e2fd9b28b"
+
+
+def test_analyzer_kernel_calls(monkeypatch, ex1):
+    # each Newton point costs one kernel call per zone and slope direction,
+    # and a tau_hat miss about a dozen; with the slopes and their derivatives
+    # formed apart and (pi, 2*pi) bisected to the float floor, ex1 took 184
+    # calls with a cold cache and 71 with a warm one
+    calls = []
+
+    def counted(g, t):
+        calls.append(t)
+        return phi_scaled(g, t)
+
+    for module in (auxiliary, halfmaps):
+        monkeypatch.setattr(module, "phi_scaled", counted)
+    tau_hat.cache_clear()
+    analyze_system(ex1)
+    cold = len(calls)
+    calls.clear()
+    analyze_system(ex1)
+    assert (cold, len(calls)) == (60, 43)

@@ -200,6 +200,40 @@ def test_zone_spec_validates_pattern():
         ZoneSpec(coeffs=coeffs, eigen=EigenTriple(1.0, 1.0, 2.0))
 
 
+# the specs near the float range of the CLI tests that get as far as their zones
+_NEAR_RANGE_SPECS = [
+    {"minus": {"lambda": -1, "alpha": 1e100, "beta": 1},
+     "plus": {"lambda": -1, "alpha": 1e100, "beta": 1}},
+    {"minus": {"lambda": 5e-324, "alpha": -4.5e118, "beta": 2},
+     "plus": {"lambda": -1, "alpha": 1, "beta": 1}},
+    {"minus": {"lambda": -1.4429064688064747e+203, "alpha": -9.909770983704536e-283,
+               "beta": 1.2851500808183788e+18},
+     "plus": {"delta": 2.2108489903745417e-16, "m": -2.1498843687217464e-245,
+              "d": 1.9384207812089657e+95}},
+]
+
+
+def test_zone_spec_decisions(ex1, ex2):
+    # every zone is accepted; with lam off by 1e-6 relative, the zones whose
+    # largest matrix entry dwarfs lam still are: alpha 1e100 or -4.5e118,
+    # d = 2.4e239 against lam = -1.4e203 (there the residual, about 1e197,
+    # once overflowed a sum of squares and was rejected as inf)
+    systems = [ex1, ex2] + [system_from_json(doc) for doc in _NEAR_RANGE_SPECS]
+    zones = [z for s in systems for z in (s.minus, s.plus)]
+    accepts_off = [False] * 4 + [True, True, True, False, True, True]
+    for zone, accepted in zip(zones, accepts_off, strict=True):
+        spec = ZoneSpec(coeffs=zone.coeffs, eigen=zone.eigen)
+        assert np.array_equal(spec.matrix, companion_matrix(zone.coeffs))
+        assert not spec.matrix.flags.writeable
+        e = zone.eigen
+        off = dataclasses.replace(e, lam=e.lam * (1.0 + 1e-6))
+        if accepted:
+            ZoneSpec(coeffs=zone.coeffs, eigen=off)
+        else:
+            with pytest.raises(ValueError):
+                ZoneSpec(coeffs=zone.coeffs, eigen=off)
+
+
 _FOCUS_ZONES = st.builds(
     EigenTriple,
     lam=st.floats(-2.0, 2.0),

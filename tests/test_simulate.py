@@ -26,6 +26,7 @@ from pwlcones import (
     write_trace_csv,
     zone_flow,
 )
+from pwlcones.simulate import TraceSamples
 from conftest import random_focus_eigen
 
 PI = math.pi
@@ -299,6 +300,29 @@ def test_trace_sample_columns(ex1):
         assert np.array_equal(state, samples.states[i])
     with pytest.raises(ValueError):
         samples.states[0, 0] = 1.0  # the columns are read-only
+
+
+def test_trace_samples_add_block_after_read():
+    # a read builds the columns and drops the blocks; blocks added after it
+    # are appended on the next read, and columns read before stay as they were
+    samples = TraceSamples()
+    assert len(samples) == 0 and samples.t.shape == (0,) and samples.states.shape == (0, 3)
+    zones = [ZoneSide.MINUS, ZoneSide.PLUS, ZoneSide.MINUS, ZoneSide.PLUS]
+    blocks = [(np.arange(k, k + 3.0), np.arange(9.0 * k, 9.0 * k + 9).reshape(3, 3), zone)
+              for k, zone in enumerate(zones)]
+    samples.add_block(*blocks[0])
+    first = samples.states
+    for block in blocks[1:3]:
+        samples.add_block(*block)
+    assert len(samples) == 9 and samples.t.shape == (9,)
+    samples.add_block(*blocks[3])
+    assert len(samples) == 12
+    rows = [(float(t), state, zone) for bt, bs, zone in blocks for t, state in zip(bt, bs)]
+    assert samples.zones == [zone for _, _, zone in rows]
+    for (t, state, zone), (t2, state2, zone2) in zip(rows, samples, strict=True):
+        assert (t, zone) == (t2, zone2) and np.array_equal(state, state2)
+    assert np.array_equal(first, blocks[0][1]) and not first.flags.writeable
+    assert not samples.t.flags.writeable and not samples.states.flags.writeable
 
 
 def _repelling_cone_orbit():
