@@ -35,6 +35,7 @@ SERIES_GT_CUTOFF = 2e-3
 ROOT_RESIDUAL_TOL = 1e-12
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)  # 1 + g*g is finite up to this |g|
+TAU_HAT_CACHE_SIZE = 4096  # roots tau_hat keeps; 400 synthesized designs bring ~940 zones
 
 
 def _finite_float(value):
@@ -212,7 +213,7 @@ class PhiRoot:
         return abs(phi_scaled(abs(self.gamma), self.tau))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=TAU_HAT_CACHE_SIZE)
 def tau_hat(gamma: float) -> PhiRoot:
     """First positive zero of phi(|gamma|, .): exactly 2*pi for gamma = 0,
     otherwise the zero of the overflow-free phi_scaled(|gamma|, .), which has

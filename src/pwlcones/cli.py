@@ -6,6 +6,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -137,6 +138,11 @@ def _cmd_simulate(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """Usage errors raise :class:`MalformedInput`, so they exit through ``_EXIT_CODES``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # "-3e10", "-.5" and "-inf" are values; argparse's own pattern misses exponents
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         self.print_usage(sys.stderr)

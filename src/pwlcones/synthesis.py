@@ -95,8 +95,14 @@ class SynthesisInput:
 @dataclass(frozen=True)
 class SynthesisOutput:
     system: PwlSystem
-    eigen_minus: EigenTriple
-    eigen_plus: EigenTriple
+
+    @property
+    def eigen_minus(self) -> EigenTriple:
+        return self.system.minus.eigen
+
+    @property
+    def eigen_plus(self) -> EigenTriple:
+        return self.system.plus.eigen
 
 
 def _solve_rates(inp: SynthesisInput) -> tuple[float, float, float]:
@@ -157,7 +163,7 @@ def synthesize(inp: SynthesisInput) -> SynthesisOutput:
         raise PwlError(
             f"synthesized system fails its own matching conditions (residual {resid:.3e})"
         )
-    return SynthesisOutput(system=system, eigen_minus=eigen_m, eigen_plus=eigen_p)
+    return SynthesisOutput(system=system)
 
 
 def synthesize_balanced(
@@ -172,11 +178,7 @@ def synthesize_balanced(
     alpha_minus = -beta_minus * alpha_plus / beta_plus
     eigen_m = EigenTriple(lam=lam, alpha=alpha_minus, beta=beta_minus)
     eigen_p = EigenTriple(lam=lam, alpha=alpha_plus, beta=beta_plus)
-    return SynthesisOutput(
-        system=PwlSystem.from_eigen(minus=eigen_m, plus=eigen_p),
-        eigen_minus=eigen_m,
-        eigen_plus=eigen_p,
-    )
+    return SynthesisOutput(system=PwlSystem.from_eigen(minus=eigen_m, plus=eigen_p))
 
 
 def example_system(which: int) -> PwlSystem:

@@ -364,6 +364,18 @@ def test_tau_hat_miss_takes_few_kernel_calls(monkeypatch):
             assert root.tau == tau_hat(gamma).tau
 
 
+def test_tau_hat_cache_is_bounded():
+    # distinct gammas past the bound evict the least recently used roots;
+    # an evicted gamma is solved again to the same bits
+    size = auxiliary.TAU_HAT_CACHE_SIZE
+    gammas = np.geomspace(0.01, 100.0, size + 100).tolist()
+    tau_hat.cache_clear()
+    first = [tau_hat(g).tau for g in gammas]
+    assert tau_hat.cache_info().currsize == tau_hat.cache_info().maxsize == size
+    for g in (gammas[0], gammas[-1]):
+        assert tau_hat(g).tau.hex() == first[gammas.index(g)].hex()
+
+
 def test_phi_root_rejects_non_roots():
     with pytest.raises(ValueError):
         PhiRoot(gamma=1.0, tau=5.0)

@@ -1,11 +1,16 @@
 """Command-line interface: subcommands, exit codes, file outputs."""
 
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pwlcones import example_system, load_system, phi, system_to_json, tau_hat
 from pwlcones.cli import main
@@ -416,6 +421,41 @@ def test_non_finite_numbers_exit_3(argv, capsys):
     # in exit 4 or 5
     assert main(argv) == 3
     assert "must be" in capsys.readouterr().err
+
+
+def _quiet_main(argv) -> int:
+    """``main(argv)`` with its output discarded; fails on any warning."""
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(
+        io.StringIO()
+    ), contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert not caught, [str(w.message) for w in caught]
+    return code
+
+
+@settings(max_examples=150)
+@given(st.floats(), st.floats())
+def test_kernel_subcommands_total_on_floats(gamma, tau):
+    # every float, typed as its repr (negative exponents, -inf and nan too),
+    # ends in a number or in exit 3, never in a traceback or a warning
+    assert _quiet_main(["tau-hat", "--gamma", repr(gamma)]) == (3 if math.isnan(gamma) else 0)
+    finite = math.isfinite(gamma) and math.isfinite(tau)
+    assert _quiet_main(["phi", "--gamma", repr(gamma), "--tau", repr(tau)]) == (0 if finite else 3)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["tau-hat", "--gamma", "-3e10"], ["phi", "--gamma", "1e3", "--tau", "-1e-5"],
+     ["simulate", "--system", "{system}", "--x0", "-1e-3,4,2", "--crossings", "2"]],
+    ids=" ".join,
+)
+def test_negative_exponent_arguments_are_values(argv, tmp_path, capsys):
+    # argparse's own negative-number pattern misses exponents: "-3e10" was
+    # read as an option, and the command ended in a usage error
+    sys_path = _write_ex1(tmp_path)
+    assert main([a.format(system=sys_path) for a in argv]) == 0
+    capsys.readouterr()
 
 
 def test_phi_subcommand_past_float_range_without_warning():
